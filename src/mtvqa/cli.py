@@ -32,8 +32,6 @@ def _coerce(text, kind):
         return int(text)
     if kind in ("float",):
         return float(text)
-    if kind in ("bool",):
-        return text.lower() in ("1", "true", "yes")
     return text
 
 
@@ -67,8 +65,6 @@ def _model_overrides(args):
             out[key] = int(val)
         elif key in ("filter_widths", "classifier_dims"):
             out[key] = tuple(int(v) for v in val.split(",") if v)
-        elif key == "shared_question_encoder":
-            out[key] = _coerce(val, "bool")
         else:
             raise ConfigError(f"unknown model option {key!r}")
     return out

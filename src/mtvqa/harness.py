@@ -24,7 +24,7 @@ from .datasets import (
     encode_single,
 )
 from .errors import ConfigError, TrainingError
-from .models import ModelConfig, build_model
+from .models import ModelConfig, build_model, multitask_loss
 from .textenc import build_vocab, random_embeddings
 
 EXPERIMENT_KINDS = ("mtl_vs_stl", "architecture_control", "shared_info_control",
@@ -46,8 +46,7 @@ class TrainConfig:
     sgd_momentum: float = 0.9
     val_fraction: float = 0.1
     seed: int = 0
-    keep: str = "best"  # "best": best-validation parameters; "last": final state
-    select_metric: str = "loss"  # which validation metric picks the kept checkpoint
+    keep: str = "best"  # "best": best-validation-loss parameters; "last": final state
 
     def validate(self):
         if self.patience < 1:
@@ -60,8 +59,6 @@ class TrainConfig:
             raise ConfigError("epoch caps must be >= 0")
         if self.keep not in ("best", "last"):
             raise ConfigError("keep must be 'best' or 'last'")
-        if self.select_metric not in ("loss", "accuracy"):
-            raise ConfigError("select_metric must be 'loss' or 'accuracy'")
 
 
 @dataclass
@@ -82,13 +79,7 @@ class TrainHistory:
     phase_transition_epoch: int | None = None
 
     def to_dict(self):
-        return {
-            "records": [dataclasses.asdict(r) for r in self.records],
-            "convergence_epoch": self.convergence_epoch,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "phase_transition_epoch": self.phase_transition_epoch,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d):
@@ -122,35 +113,51 @@ def _restore(model, snap):
         p.data[...] = snap[n]
 
 
-def _mean_loss(model, data, indices, batch_size):
-    total = 0.0
+def _infer(model, data, indices, batch_size, with_loss=False, with_logits=False):
+    """One `model.forward` per batch of the `indices` rows of `data`.
+
+    Returns (preds, loss, logits): the (rows, heads) argmax answer ids;
+    with `with_loss` the summed masked loss of those rows, else None; with
+    `with_logits` the (rows, heads, answers) logits, else None.  No rows
+    give empty arrays.  Test sets hold out-of-vocabulary targets (-1),
+    which the loss rejects, so only validation asks for it.  The logits are
+    kept only on request because they are `answers` times the size of the
+    argmax.
+    """
+    preds = [np.empty((0, model.n_heads), dtype=np.int64)]
+    logits = [np.empty((0, model.n_heads, model.config.n_answers))]
+    loss = 0.0 if with_loss else None
     for lo in range(0, len(indices), batch_size):
         sel = indices[lo:lo + batch_size]
-        loss, _ = model.loss(data.images[sel], data.ids[sel],
-                             data.targets[sel], data.mask[sel])
-        total += float(loss.data)
-    return total / len(indices)
+        heads = model.forward(data.images[sel], data.ids[sel])
+        if with_loss:
+            loss += float(multitask_loss(heads, data.targets[sel], data.mask[sel]).data)
+        preds.append(np.stack([np.argmax(lg.data, axis=1) for lg in heads], axis=1))
+        if with_logits:
+            logits.append(np.stack([lg.data for lg in heads], axis=1))
+        # drop this batch's graph before the next forward builds one: graph
+        # nodes are reference cycles, and a collection that finds the graph
+        # still referenced moves it to an older generation, where it lingers
+        del heads
+    return np.concatenate(preds), loss, np.concatenate(logits) if with_logits else None
 
 
-def _subset_accuracy(model, data, indices, batch_size):
-    correct = 0
-    count = 0
-    for lo in range(0, len(indices), batch_size):
-        sel = indices[lo:lo + batch_size]
-        preds = model.predict(data.images[sel], data.ids[sel])
-        m = data.mask[sel]
-        correct += int(((preds == data.targets[sel]) & m).sum())
-        count += int(m.sum())
-    return None if count == 0 else 100.0 * correct / count
+def _validate(model, data, indices, batch_size):
+    """(mean loss, slot accuracy or None) of the `indices` rows, one pass."""
+    preds, loss, _ = _infer(model, data, indices, batch_size, with_loss=True)
+    mask = data.mask[indices]
+    hits = (preds == data.targets[indices]) & mask
+    count = int(mask.sum())
+    return loss / len(indices), (100.0 * int(hits.sum()) / count if count else None)
 
 
 def train(model, data, cfg):
     """Nadam until the patience criterion fires, then SGD with momentum.
 
     Returns (model, history).  With keep="best" (default) the model ends up
-    holding the parameters of the best validation epoch seen in either
-    phase, where "best" follows cfg.select_metric; with keep="last" it
-    holds the final state of the run.
+    holding the parameters of the epoch with the lowest validation loss
+    seen in either phase; with keep="last" it holds the final state of the
+    run.
     """
     cfg.validate()
     if len(data) == 0:
@@ -161,17 +168,14 @@ def train(model, data, cfg):
 
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _image_level_split(data.image_ids, cfg.val_fraction, rng)
-    if len(train_idx) == 0:
-        train_idx = val_idx
     params = model.trainable_params()
     best = _snapshot(model)
     best_val = np.inf
-    best_acc = -np.inf
     best_epoch = None
     epoch = 0
 
     def run_phase(phase, optimizer, max_epochs):
-        nonlocal epoch, best, best_val, best_acc, best_epoch
+        nonlocal epoch, best, best_val, best_epoch
         if max_epochs == 0:
             return
         phase_best = np.inf
@@ -192,26 +196,17 @@ def train(model, data, cfg):
                 optimizer.step()
                 total += float(loss.data)
             train_loss = total / len(order)
-            have_val = len(val_idx) > 0
-            val_loss = (_mean_loss(model, data, val_idx, cfg.batch_size)
-                        if have_val else train_loss)
-            val_acc = (_subset_accuracy(model, data, val_idx, cfg.batch_size)
-                       if have_val else None)
+            val_loss, val_acc = (_validate(model, data, val_idx, cfg.batch_size)
+                                 if len(val_idx) else (train_loss, None))
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss at epoch {epoch}")
             history.records.append(EpochRecord(epoch=epoch, phase=phase,
                                                train_loss=train_loss, val_loss=val_loss,
                                                val_accuracy=val_acc))
-            if cfg.select_metric == "accuracy" and val_acc is not None:
-                improved = val_acc > best_acc
-            else:
-                improved = val_loss < best_val
-            if improved:
+            if val_loss < best_val:
+                best_val = val_loss
                 best_epoch = epoch
                 best = _snapshot(model)
-            best_val = min(best_val, val_loss)
-            if val_acc is not None:
-                best_acc = max(best_acc, val_acc)
             if val_loss < phase_best - cfg.min_delta:
                 phase_best = val_loss
                 phase_best_epoch = epoch
@@ -277,29 +272,16 @@ class EvalReport:
         return d
 
 
-def predictions(model, data, batch_size=256):
-    """(n, heads) argmax answer ids."""
-    outs = []
-    for lo in range(0, len(data), batch_size):
-        sel = np.arange(lo, min(lo + batch_size, len(data)))
-        outs.append(model.predict(data.images[sel], data.ids[sel]))
-    return np.concatenate(outs, axis=0) if outs else np.zeros((0, model.n_heads), dtype=np.int64)
-
-
 def prediction_logits(model, data, batch_size=256):
     """(n, heads, answers) raw logits, for exact-invariance checks."""
-    outs = []
-    for lo in range(0, len(data), batch_size):
-        sel = np.arange(lo, min(lo + batch_size, len(data)))
-        outs.append(model.logits_array(data.images[sel], data.ids[sel]))
-    return np.concatenate(outs, axis=0)
+    return _infer(model, data, np.arange(len(data)), batch_size, with_logits=True)[2]
 
 
 def evaluate(model, data, batch_size=256):
     """Masked slots are excluded from numerator and denominator alike."""
     correct = {t: 0 for t in data.tasks}
     counts = {t: 0 for t in data.tasks}
-    preds = predictions(model, data, batch_size)
+    preds, _, _ = _infer(model, data, np.arange(len(data)), batch_size)
     hits = (preds == data.targets) & data.mask
     for k, t in enumerate(data.tasks):
         cells = (data.qtypes == k) & data.mask
@@ -560,7 +542,7 @@ def sample_config(space, base_cfg, rng):
 
 def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg,
                        variant="mtl_simple", holdout_fraction=0.2):
-    """Seeded random search ranked by held-out accuracy.
+    """Seeded random search ranked by held-out accuracy per distinct question.
 
     The holdout is split from the bundle's training images, so the test set
     never influences the choice.  Returns (best TrainConfig, trials log).
@@ -568,15 +550,14 @@ def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg,
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    split_rng = np.random.default_rng(seed + 1)
-    images = sorted({ex.image_id for ex in bundle.train_combined})
-    perm = split_rng.permutation(len(images))
-    n_hold = min(max(1, int(round(holdout_fraction * len(images)))), len(images) - 1)
-    holdout_images = {images[int(i)] for i in perm[:n_hold]}
-    sub_train = [ex for ex in bundle.train_combined if ex.image_id not in holdout_images]
-    holdout = [ex for ex in bundle.train_combined if ex.image_id in holdout_images]
-    enc_train = bundle.encode_combined(sub_train)
+    examples = bundle.train_combined
+    train_idx, hold_idx = _image_level_split([ex.image_id for ex in examples],
+                                             holdout_fraction,
+                                             np.random.default_rng(seed + 1))
+    holdout = [examples[i] for i in hold_idx]
+    enc_train = bundle.encode_combined([examples[i] for i in train_idx])
     enc_hold = bundle.encode_combined(holdout)
+    hold_qids = question_ids(holdout, bundle.tasks)
 
     trials = []
     best = None
@@ -585,7 +566,7 @@ def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg,
         emb = random_embeddings(bundle.vocab, model_cfg.embed_dim, seed=seed)
         model = build_model(variant, model_cfg, emb, seed=seed)
         model, _ = train(model, enc_train, cfg)
-        acc = evaluate(model, enc_hold).total_accuracy
+        acc = per_question(evaluate(model, enc_hold), enc_hold, hold_qids).total_accuracy
         acc = -1.0 if acc is None else acc
         trials.append({"trial": trial, "config": dataclasses.asdict(cfg),
                        "val_accuracy": acc})

@@ -45,7 +45,6 @@ class ModelConfig:
     lstm_depth: int = 2
     common_dim: int = 64
     classifier_dims: tuple = (128,)
-    shared_question_encoder: bool = True
 
     def validate(self):
         if not self.tasks:
@@ -79,6 +78,10 @@ class ModelConfig:
     @staticmethod
     def from_dict(d):
         d = dict(d)
+        # older configs echo the encoder layout; only the shared one is built now
+        if not d.pop("shared_question_encoder", True):
+            raise FormatError("config asks for one question encoder per head; "
+                              "only a shared question encoder can be built")
         d["tasks"] = tuple(parse_qtype(t) for t in d["tasks"])
         d["filter_widths"] = tuple(d["filter_widths"])
         d["classifier_dims"] = tuple(d["classifier_dims"])
@@ -134,22 +137,21 @@ class Model:
             return self._forward_simple(images, ids)
         return self._forward_vqateam(images, ids)
 
-    def encode_question_conv(self, ids2d, slot_tag):
+    def encode_question_conv(self, ids2d):
         cfg = self.config
         seq = ad.embedding(self.params["embedding"], ids2d)
         pooled = []
         for w in cfg.filter_widths:
-            key = slot_tag if not cfg.shared_question_encoder else "shared"
-            conv = ad.conv1d(seq, self.params[f"conv.{key}.w{w}.W"],
-                             self.params[f"conv.{key}.w{w}.b"])
+            conv = ad.conv1d(seq, self.params[f"conv.shared.w{w}.W"],
+                             self.params[f"conv.shared.w{w}.b"])
             pooled.append(ad.max_over_time(ad.tanh(conv)))
         return ad.concat(pooled)
 
     def _forward_simple(self, images, ids):
         img = ad.affine(ad.constant(images), self.params["img.W"], self.params["img.b"])
         feats = [img]
-        for h, name in enumerate(self.head_names):
-            feats.append(self.encode_question_conv(ids[:, h, :], name))
+        for h in range(self.n_heads):
+            feats.append(self.encode_question_conv(ids[:, h, :]))
         hidden = ad.tanh(ad.affine(ad.concat(feats), self.params["hidden.W"],
                                    self.params["hidden.b"]))
         return [ad.affine(hidden, self.params[f"head.{name}.W"], self.params[f"head.{name}.b"])
@@ -176,11 +178,6 @@ class Model:
         """Summed masked cross entropy over all heads (no batch averaging)."""
         logits = self.forward(images, ids)
         return multitask_loss(logits, targets, mask), logits
-
-    def predict(self, images, ids):
-        """Argmax answer id per head: (batch, n_heads) ints."""
-        logits = self.forward(images, ids)
-        return np.stack([np.argmax(lg.data, axis=1) for lg in logits], axis=1)
 
     def logits_array(self, images, ids):
         logits = self.forward(images, ids)
@@ -238,14 +235,12 @@ def build_model(variant, config, embedding, seed=0):
         add_param("img.W", _xavier(rng, (cfg.feature_dim, cfg.img_compress_dim),
                                    cfg.feature_dim, cfg.img_compress_dim))
         add_param("img.b", np.zeros(cfg.img_compress_dim))
-        slot_tags = ("shared",) if cfg.shared_question_encoder else head_names
-        for tag in slot_tags:
-            for w in cfg.filter_widths:
-                fan_in = w * cfg.embed_dim
-                add_param(f"conv.{tag}.w{w}.W",
-                          _xavier(rng, (w, cfg.embed_dim, cfg.filters_per_width),
-                                  fan_in, cfg.filters_per_width))
-                add_param(f"conv.{tag}.w{w}.b", np.zeros(cfg.filters_per_width))
+        for w in cfg.filter_widths:
+            fan_in = w * cfg.embed_dim
+            add_param(f"conv.shared.w{w}.W",
+                      _xavier(rng, (w, cfg.embed_dim, cfg.filters_per_width),
+                              fan_in, cfg.filters_per_width))
+            add_param(f"conv.shared.w{w}.b", np.zeros(cfg.filters_per_width))
         concat_dim = cfg.img_compress_dim + n_heads * cfg.question_feat_dim
         add_param("hidden.W", _xavier(rng, (concat_dim, cfg.hidden_dim),
                                       concat_dim, cfg.hidden_dim))

@@ -15,13 +15,14 @@ from mtvqa.harness import (
     evaluate,
     per_question,
     prediction_logits,
+    question_ids,
     run_experiment,
     sample_config,
     search_hyperparams,
     synthetic_bundle,
     train,
 )
-from mtvqa.models import build_model
+from mtvqa.models import Model, build_model
 from mtvqa.textenc import random_embeddings
 
 from helpers import TINY_TASKS, tiny_model
@@ -131,6 +132,29 @@ def test_image_level_split_never_straddles():
     assert len(train_idx) + len(val_idx) == 40
 
 
+def test_validation_runs_one_forward_per_batch(bundle, small_cfg, monkeypatch):
+    enc = bundle.encode_combined(bundle.train_combined)
+    cfg = _quick_cfg()
+    train_idx, val_idx = harness._image_level_split(enc.image_ids, cfg.val_fraction,
+                                                    np.random.default_rng(cfg.seed))
+    assert len(val_idx) > 0
+    calls = []
+    forward = Model.forward
+
+    def counted(model, images, ids):
+        calls.append(len(images))
+        return forward(model, images, ids)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    _, hist = train(_fresh_model(bundle, small_cfg), enc, cfg)
+
+    def batches(rows):
+        return -(-rows // cfg.batch_size)
+
+    per_epoch = batches(len(train_idx)) + batches(len(val_idx))
+    assert len(calls) == len(hist.records) * per_epoch
+
+
 def test_history_json_round_trip(bundle, small_cfg):
     enc = bundle.encode_combined(bundle.train_combined)
     model = _fresh_model(bundle, small_cfg)
@@ -146,7 +170,7 @@ def _toy_eval_data(model, rng, n=4):
     cfg = model.config
     images = rng.normal(size=(n, cfg.feature_dim))
     ids = rng.integers(0, cfg.vocab_size, size=(n, model.n_heads, cfg.max_len))
-    preds = model.predict(images, ids)
+    preds = model.logits_array(images, ids).argmax(axis=2)
     return images, ids, preds
 
 
@@ -194,6 +218,14 @@ def test_evaluate_ignores_masked_slots_and_absent_types():
                            image_ids=data.image_ids + ("a",), tasks=data.tasks)
     report2 = evaluate(model, data2)
     assert report2.as_dict() == report.as_dict()
+
+
+def test_empty_set_gives_empty_logits_and_zero_counts(bundle, small_cfg):
+    enc = bundle.encode_combined([])
+    model = _fresh_model(bundle, small_cfg)
+    logits = prediction_logits(model, enc)
+    assert logits.shape == (0, model.n_heads, small_cfg.n_answers)
+    assert sum(evaluate(model, enc).counts.values()) == 0
 
 
 def test_eval_report_empty_counts():
@@ -318,6 +350,22 @@ def test_search_budget_one_returns_single_sample(bundle, small_cfg):
     best, trials = search_hyperparams(space, 1, 3, bundle, small_cfg, base)
     assert len(trials) == 1
     assert trials[0]["config"]["nadam_lr"] == best.nadam_lr
+
+
+def test_search_scores_the_holdout_per_question(bundle, small_cfg):
+    seed, base = 3, _quick_cfg(max_epochs_nadam=2, max_epochs_sgd=0)
+    _, trials = search_hyperparams({}, 1, seed, bundle, small_cfg, base)
+    examples = bundle.train_combined
+    train_idx, hold_idx = harness._image_level_split(
+        [ex.image_id for ex in examples], 0.2, np.random.default_rng(seed + 1))
+    holdout = [examples[i] for i in hold_idx]
+    enc_hold = bundle.encode_combined(holdout)
+    model, _ = train(_fresh_model(bundle, small_cfg, seed=seed),
+                     bundle.encode_combined([examples[i] for i in train_idx]), base)
+    report = evaluate(model, enc_hold)
+    want = per_question(report, enc_hold, question_ids(holdout, bundle.tasks))
+    assert want.total_accuracy != report.total_accuracy  # the two scores differ here
+    assert trials[0]["val_accuracy"] == want.total_accuracy
 
 
 def test_search_is_seed_deterministic(bundle, small_cfg):

@@ -77,7 +77,7 @@ def test_pad_question_is_bias_only():
     model = tiny_model("mtl_simple")
     cfg = model.config
     ids = np.zeros((2, cfg.max_len), dtype=np.int64)
-    out = model.encode_question_conv(ids, "shared")
+    out = model.encode_question_conv(ids)
     expected = np.concatenate([np.tanh(model.params[f"conv.shared.w{w}.b"].data)
                                for w in cfg.filter_widths])
     npt.assert_allclose(out.data, np.tile(expected, (2, 1)), rtol=1e-12)
@@ -89,16 +89,6 @@ def test_stl_hidden_width_matches_mtl():
     assert mtl.params["hidden.W"].data.shape[1] == stl.params["hidden.W"].data.shape[1]
     # only the input and output connections differ
     assert mtl.params["hidden.W"].data.shape[0] > stl.params["hidden.W"].data.shape[0]
-
-
-def test_independent_encoders_escape_hatch():
-    model = tiny_model("mtl_simple", shared_question_encoder=False)
-    names = set(model.params)
-    assert "conv.colour.w1.W" in names and "conv.size.w1.W" in names
-    assert not any(n.startswith("conv.shared") for n in names)
-    rng = np.random.default_rng(3)
-    images, ids = _batch(model, rng)
-    assert np.all(np.isfinite(model.logits_array(images, ids)))
 
 
 def test_vqateam_zero_image_annihilates_questions():
@@ -221,6 +211,24 @@ def test_load_rejects_configless_checkpoint(tmp_path):
     save_checkpoint(path, {"embedding": np.zeros((3, 2))}, config=None)
     with pytest.raises(FormatError, match="config"):
         load_model(path)
+
+
+def test_load_reads_question_encoder_echo(tmp_path):
+    # configs written before the per-head encoder layout was dropped echo
+    # shared_question_encoder; the shared layout loads, the other cannot
+    from mtvqa.autodiff.checkpoint import save_checkpoint
+    model = tiny_model("mtl_simple", seed=5)
+    params = {n: p.data for n, p in model.params.items()}
+    for shared in (True, False):
+        config = dict(model.config.to_dict(), shared_question_encoder=shared)
+        path = tmp_path / f"echo-{shared}.ckpt"
+        save_checkpoint(path, params, config={"variant": "mtl_simple", "config": config,
+                                              "embed_trainable": True, "extras": None})
+        if shared:
+            assert load_model(path).config == model.config
+        else:
+            with pytest.raises(FormatError, match="question encoder"):
+                load_model(path)
 
 
 def test_embedding_pad_row_pinned():
