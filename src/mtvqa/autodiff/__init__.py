@@ -6,29 +6,25 @@ from .tensor import (
     constant,
     conv1d,
     embedding,
-    matmul,
     max_over_time,
     mul,
     parameter,
     scale,
-    select_time,
     sigmoid,
     softmax_cross_entropy_masked,
-    split_cols,
     tanh,
     weighted_sum,
     zero_grads,
 )
-from .lstm import lstm_sequence, lstm_step
+from .lstm import lstm_sequence
 from .optim import Nadam, SgdMomentum
 from .gradcheck import GradCheckReport, check_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "add", "affine", "concat", "constant", "conv1d", "embedding",
-    "matmul", "max_over_time", "mul", "parameter", "scale", "select_time",
-    "sigmoid", "softmax_cross_entropy_masked", "split_cols", "tanh",
-    "weighted_sum", "zero_grads", "lstm_sequence", "lstm_step", "Nadam",
-    "SgdMomentum", "GradCheckReport", "check_gradients", "load_checkpoint",
-    "save_checkpoint",
+    "max_over_time", "mul", "parameter", "scale", "sigmoid",
+    "softmax_cross_entropy_masked", "tanh", "weighted_sum", "zero_grads",
+    "lstm_sequence", "Nadam", "SgdMomentum", "GradCheckReport",
+    "check_gradients", "load_checkpoint", "save_checkpoint",
 ]

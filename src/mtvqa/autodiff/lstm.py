@@ -1,35 +1,19 @@
-"""LSTM cell and stacked-sequence runner built from the tensor operators."""
+"""Stacked LSTM over a token sequence as one graph operator.
+
+The forward pass keeps every step's gate values and the backward pass runs
+backpropagation through time over them by hand (Appleyard, Kočiský &
+Blunsom 2016, arXiv:1604.01946), so encoding a question adds one node to
+the graph instead of a dozen per token and layer.  Each step evaluates the
+same elementwise products a cell built from `affine`, `sigmoid`, `tanh`,
+`mul` and `add` would, in the same order.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, add, affine, constant, matmul, mul, select_time, sigmoid, split_cols, tanh
-
-
-def lstm_step(x, h_prev, c_prev, w_in, w_rec, bias):
-    """One LSTM step.
-
-    x: (batch, in_dim), h_prev/c_prev: (batch, hidden).  The fused weights
-    hold the four gates side by side in the order input, forget, candidate,
-    output: w_in (in_dim, 4*hidden), w_rec (hidden, 4*hidden), bias (4*hidden,).
-    Returns (h, c).
-    """
-    hidden = h_prev.data.shape[-1]
-    if w_in.data.shape[-1] != 4 * hidden or w_rec.data.shape != (hidden, 4 * hidden):
-        raise ShapeError(
-            f"lstm_step: gate weights {w_in.data.shape}/{w_rec.data.shape} "
-            f"inconsistent with hidden size {hidden}")
-    z = add(affine(x, w_in, bias), matmul(h_prev, w_rec))
-    zi, zf, zg, zo = split_cols(z, [hidden] * 4)
-    gate_in = sigmoid(zi)
-    gate_forget = sigmoid(zf)
-    cand = tanh(zg)
-    gate_out = sigmoid(zo)
-    c = add(mul(gate_forget, c_prev), mul(gate_in, cand))
-    h = mul(gate_out, tanh(c))
-    return h, c
+from .tensor import Tensor, _accum, _sigmoid
 
 
 def lstm_sequence(x_seq, layers):
@@ -37,20 +21,79 @@ def lstm_sequence(x_seq, layers):
 
     `layers` is a list of (w_in, w_rec, bias) triples, one per layer, the
     first consuming the input channels and the rest the hidden size below.
-    Returns the top layer's hidden state after the last step.
+    The fused weights hold the four gates side by side in the order input,
+    forget, candidate, output: w_in (in_dim, 4*hidden), w_rec
+    (hidden, 4*hidden), bias (4*hidden,).  Every layer starts from a zero
+    state.  Returns the top layer's hidden state after the last step.
     """
-    bsz, steps, _ = x_seq.data.shape
-    states = []
-    for (_, w_rec, _) in layers:
+    if x_seq.data.ndim != 3:
+        raise ShapeError(f"lstm_sequence: expected 3-d input, got {x_seq.data.shape}")
+    bsz, steps, in_dim = x_seq.data.shape
+    for w_in, w_rec, bias in layers:
         hidden = w_rec.data.shape[0]
-        zeros = np.zeros((bsz, hidden))
-        states.append((constant(zeros), constant(zeros)))
-    h_top = states[-1][0]
+        if (w_in.data.shape != (in_dim, 4 * hidden) or w_rec.data.shape != (hidden, 4 * hidden)
+                or bias.data.shape != (4 * hidden,)):
+            raise ShapeError(
+                f"lstm_sequence: gate weights {w_in.data.shape}/{w_rec.data.shape}/"
+                f"{bias.data.shape} inconsistent with input width {in_dim} "
+                f"and hidden size {hidden}")
+        in_dim = hidden
+
+    # per layer: h and c before each step and after the last (entry 0 is
+    # the zero start state), and each step's (i, f, g, o, tanh(c))
+    hs, cs, gates = [], [], []
+    for _, w_rec, _ in layers:
+        zeros = np.zeros((bsz, w_rec.data.shape[0]))
+        hs.append([zeros])
+        cs.append([zeros])
+        gates.append([])
     for t in range(steps):
-        inp = select_time(x_seq, t)
+        inp = x_seq.data[:, t, :]
         for li, (w_in, w_rec, bias) in enumerate(layers):
-            h, c = lstm_step(inp, states[li][0], states[li][1], w_in, w_rec, bias)
-            states[li] = (h, c)
-            inp = h
-        h_top = inp
-    return h_top
+            n = w_rec.data.shape[0]
+            z = (inp @ w_in.data + bias.data) + hs[li][-1] @ w_rec.data
+            i = _sigmoid(z[:, :n])
+            f = _sigmoid(z[:, n:2 * n])
+            g = np.tanh(z[:, 2 * n:3 * n])
+            o = _sigmoid(z[:, 3 * n:])
+            c = f * cs[li][-1] + i * g
+            tc = np.tanh(c)
+            inp = o * tc
+            hs[li].append(inp)
+            cs[li].append(c)
+            gates[li].append((i, f, g, o, tc))
+
+    weights = [w for layer in layers for w in layer]
+    out = Tensor(hs[-1][-1], parents=(x_seq, *weights), op="lstm_sequence")
+
+    def _bw():
+        gx = np.zeros_like(x_seq.data)
+        gw = [np.zeros_like(w.data) for w in weights]
+        # gradient reaching each layer's h and c from the step after
+        dh_next = [0.0] * (len(layers) - 1) + [out.grad]
+        dc_next = [0.0] * len(layers)
+        for t in reversed(range(steps)):
+            d_up = 0.0  # gradient reaching this layer's h from the layer above
+            for li in reversed(range(len(layers))):
+                w_in, w_rec, _ = layers[li]
+                i, f, g, o, tc = gates[li][t]
+                dh = dh_next[li] + d_up
+                dc = (dh * o) * (1.0 - tc * tc) + dc_next[li]
+                dz = np.concatenate((dc * g * i * (1.0 - i),
+                                     dc * cs[li][t] * f * (1.0 - f),
+                                     dc * i * (1.0 - g * g),
+                                     dh * tc * o * (1.0 - o)), axis=1)
+                inp = x_seq.data[:, t, :] if li == 0 else hs[li - 1][t + 1]
+                gw[3 * li] += inp.T @ dz
+                gw[3 * li + 1] += hs[li][t].T @ dz
+                gw[3 * li + 2] += dz.sum(axis=0)
+                d_up = dz @ w_in.data.T
+                dh_next[li] = dz @ w_rec.data.T
+                dc_next[li] = dc * f
+            gx[:, t, :] = d_up
+        _accum(x_seq, gx)
+        for w, g in zip(weights, gw):
+            _accum(w, g)
+
+    out._backward = _bw
+    return out

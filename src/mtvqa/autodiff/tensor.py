@@ -5,9 +5,9 @@ single `backward()` call on a scalar output fills `.grad` on every tensor
 that contributed to it.  Only the operators needed by the question-answering
 models are provided: affine maps, valid 1-d convolution over token
 positions, max-over-time pooling, tanh/sigmoid, concatenation along the
-feature axis, elementwise product, embedding lookup, column splitting and a
-masked softmax cross entropy.  There is no broadcasting beyond what these
-operators define internally.
+feature axis, elementwise product, embedding lookup, a fused stacked LSTM
+(in `lstm.py`) and a masked softmax cross entropy.  There is no broadcasting
+beyond what these operators define internally.
 """
 
 from __future__ import annotations
@@ -46,27 +46,21 @@ class Tensor:
         return f"Tensor({tag}, shape={self.data.shape})"
 
     def backward(self):
-        """Backpropagate from this scalar through the whole graph."""
+        """Backpropagate from this scalar through the whole graph.
+
+        A graph can be backpropagated once: each node drops its backward
+        rule after running it.  That rule closes over the node, so dropping
+        it breaks the reference cycle and lets the graph be freed as soon as
+        the caller lets go of it, without waiting for the cyclic collector.
+        """
         if self.data.shape != ():
             raise ShapeError(f"backward: output must be scalar, got shape {self.data.shape}")
         order = _toposort(self)
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
-
-    # convenience wrappers
-    def tanh(self):
-        return tanh(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
+            rule, node._backward = node._backward, None
+            if rule is not None and node.grad is not None:
+                rule()
 
 
 def parameter(data, name):
@@ -163,10 +157,14 @@ def tanh(a):
     return out
 
 
-def sigmoid(a):
-    x = a.data
+def _sigmoid(x):
+    """Logistic function without overflow for large |x|."""
     e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0.0, 1.0, e) / (e + 1.0)
+
+
+def sigmoid(a):
+    y = _sigmoid(a.data)
     out = Tensor(y, parents=(a,), op="sigmoid")
 
     def _bw():
@@ -178,19 +176,6 @@ def sigmoid(a):
 
 # ---------------------------------------------------------------------------
 # linear algebra
-
-def matmul(x, w):
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {x.data.shape} @ {w.data.shape}")
-    out = Tensor(x.data @ w.data, parents=(x, w), op="matmul")
-
-    def _bw():
-        _accum(x, out.grad @ w.data.T)
-        _accum(w, x.data.T @ out.grad)
-
-    out._backward = _bw
-    return out
-
 
 def affine(x, w, b):
     """x @ w + b for a batch of row vectors; bias is broadcast over rows."""
@@ -285,42 +270,6 @@ def concat(tensors, what="features"):
         for t, sz in zip(tensors, sizes):
             _accum(t, out.grad[..., off:off + sz])
             off += sz
-
-    out._backward = _bw
-    return out
-
-
-def split_cols(t, sizes):
-    """Split along the last axis into chunks of the given sizes."""
-    if sum(sizes) != t.data.shape[-1]:
-        raise ShapeError(f"split_cols: sizes {sizes} do not sum to {t.data.shape[-1]}")
-    outs = []
-    off = 0
-    for sz in sizes:
-        lo, hi = off, off + sz
-        o = Tensor(t.data[..., lo:hi], parents=(t,), op="split_cols")
-
-        def _bw(o=o, lo=lo, hi=hi):
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[..., lo:hi] += o.grad
-
-        o._backward = _bw
-        outs.append(o)
-        off = hi
-    return outs
-
-
-def select_time(x, t):
-    """Pick time step `t` from a (batch, time, channels) tensor."""
-    if x.data.ndim != 3 or not (0 <= t < x.data.shape[1]):
-        raise ShapeError(f"select_time: step {t} out of range for shape {x.data.shape}")
-    out = Tensor(x.data[:, t, :], parents=(x,), op="select_time")
-
-    def _bw():
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[:, t, :] += out.grad
 
     out._backward = _bw
     return out

@@ -82,6 +82,13 @@ class ModelConfig:
         if not d.pop("shared_question_encoder", True):
             raise FormatError("config asks for one question encoder per head; "
                               "only a shared question encoder can be built")
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise FormatError(f"model config echo has unknown key {unknown[0]!r}")
+        missing = [n for n in names if n not in d]
+        if missing:
+            raise FormatError(f"model config echo lacks key {missing[0]!r}")
         d["tasks"] = tuple(parse_qtype(t) for t in d["tasks"])
         d["filter_widths"] = tuple(d["filter_widths"])
         d["classifier_dims"] = tuple(d["classifier_dims"])
@@ -291,7 +298,7 @@ def load_model(path):
 
 def load_model_with_extras(path):
     raw, meta = load_checkpoint(path)
-    if not meta or "variant" not in meta:
+    if not meta or "variant" not in meta or "config" not in meta:
         raise FormatError(f"{path}: checkpoint lacks a model config echo")
     config = ModelConfig.from_dict(meta["config"])
     emb = EmbeddingTable(vectors=np.asarray(raw["embedding"], dtype=np.float64),

@@ -48,12 +48,6 @@ def op_case_sigmoid(rng):
     return lambda: ad.weighted_sum(ad.sigmoid(a), w), [a]
 
 
-def op_case_matmul(rng):
-    x, m = _p(rng, (2, 3), "x"), _p(rng, (3, 4), "m")
-    w = rng.normal(size=(2, 4))
-    return lambda: ad.weighted_sum(ad.matmul(x, m), w), [x, m]
-
-
 def op_case_affine(rng):
     x, m, b = _p(rng, (2, 3), "x"), _p(rng, (3, 4), "m"), _p(rng, (4,), "b")
     w = rng.normal(size=(2, 4))
@@ -79,24 +73,6 @@ def op_case_concat(rng):
     return lambda: ad.weighted_sum(ad.concat([a, b, c]), w), [a, b, c]
 
 
-def op_case_split_cols(rng):
-    x = _p(rng, (2, 6), "x")
-    w1, w2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 4))
-
-    def fn():
-        lo, hi = ad.split_cols(x, [2, 4])
-        return ad.add(ad.weighted_sum(lo, w1), ad.weighted_sum(hi, w2))
-
-    return fn, [x]
-
-
-def op_case_select_time(rng):
-    x = _p(rng, (2, 4, 3), "x")
-    t = int(rng.integers(0, 4))
-    w = rng.normal(size=(2, 3))
-    return lambda: ad.weighted_sum(ad.select_time(x, t), w), [x]
-
-
 def op_case_embedding(rng):
     table = _p(rng, (5, 3), "table")
     ids = rng.integers(0, 5, size=(2, 4))
@@ -116,22 +92,6 @@ def op_case_softmax_ce(rng):
     return fn, [x, m, b]
 
 
-def op_case_lstm_step(rng):
-    hidden = 3
-    x = _p(rng, (2, 2), "x")
-    h0, c0 = _p(rng, (2, hidden), "h0"), _p(rng, (2, hidden), "c0")
-    w_in = _p(rng, (2, 4 * hidden), "w_in")
-    w_rec = _p(rng, (hidden, 4 * hidden), "w_rec")
-    bias = _p(rng, (4 * hidden,), "bias")
-    wh, wc = rng.normal(size=(2, hidden)), rng.normal(size=(2, hidden))
-
-    def fn():
-        h, c = ad.lstm_step(x, h0, c0, w_in, w_rec, bias)
-        return ad.add(ad.weighted_sum(h, wh), ad.weighted_sum(c, wc))
-
-    return fn, [x, h0, c0, w_in, w_rec, bias]
-
-
 def op_case_lstm_sequence(rng):
     hidden = 3
     x = _p(rng, (2, 3, 2), "x")
@@ -146,22 +106,39 @@ def op_case_lstm_sequence(rng):
     return lambda: ad.weighted_sum(ad.lstm_sequence(x, layers), w), params
 
 
+def lstm_reference(x, layers):
+    """Plain-numpy stacked LSTM: (batch, time, channels) -> top h after the
+    last step, gates in the order input, forget, candidate, output."""
+
+    def sig(v):
+        e = np.exp(-np.abs(v))
+        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    hs = [np.zeros((x.shape[0], w_rec.shape[0])) for _, w_rec, _ in layers]
+    cs = [h.copy() for h in hs]
+    for t in range(x.shape[1]):
+        inp = x[:, t, :]
+        for li, (w_in, w_rec, bias) in enumerate(layers):
+            n = w_rec.shape[0]
+            z = (inp @ w_in + bias) + hs[li] @ w_rec
+            cs[li] = sig(z[:, n:2 * n]) * cs[li] + sig(z[:, :n]) * np.tanh(z[:, 2 * n:3 * n])
+            hs[li] = sig(z[:, 3 * n:]) * np.tanh(cs[li])
+            inp = hs[li]
+    return hs[-1]
+
+
 OP_CASES = {
     "add": op_case_add,
     "mul": op_case_mul,
     "scale": op_case_scale,
     "tanh": op_case_tanh,
     "sigmoid": op_case_sigmoid,
-    "matmul": op_case_matmul,
     "affine": op_case_affine,
     "conv1d": op_case_conv1d,
     "max_over_time": op_case_max_over_time,
     "concat": op_case_concat,
-    "split_cols": op_case_split_cols,
-    "select_time": op_case_select_time,
     "embedding": op_case_embedding,
     "softmax_cross_entropy_masked": op_case_softmax_ce,
-    "lstm_step": op_case_lstm_step,
     "lstm_sequence": op_case_lstm_sequence,
 }
 

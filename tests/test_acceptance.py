@@ -73,8 +73,8 @@ def _report(criterion, ok, detail=""):
 # ---------------------------------------------------------------------------
 # 1. gradient suite
 
-# composite recurrent cases are sampled per coordinate to stay in budget
-_OP_COORD_CAPS = {"lstm_step": 6, "lstm_sequence": 6}
+# the recurrent case is sampled per coordinate to stay in budget
+_OP_COORD_CAPS = {"lstm_sequence": 6}
 
 
 def test_criterion_1_gradient_suite():

@@ -2,50 +2,75 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from mtvqa import autodiff as ad
+from mtvqa.errors import ShapeError
+
+from helpers import lstm_reference
 
 
 def _params(arrs):
     return [ad.parameter(a, f"p{i}") for i, a in enumerate(arrs)]
 
 
+def _stacked_case(rng, hidden=4):
+    layers = [(ad.constant(rng.normal(size=(3, 4 * hidden))),
+               ad.constant(rng.normal(size=(hidden, 4 * hidden))),
+               ad.constant(rng.normal(size=4 * hidden))),
+              (ad.constant(rng.normal(size=(hidden, 4 * hidden))),
+               ad.constant(rng.normal(size=(hidden, 4 * hidden))),
+               ad.constant(rng.normal(size=4 * hidden)))]
+    return ad.constant(rng.normal(size=(2, 5, 3))), layers
+
+
 def test_all_zero_cell_stays_zero():
-    # zero weights and states: every gate sits at 0.5, the candidate at 0
-    x = ad.constant(np.zeros((2, 3)))
-    h0 = ad.constant(np.zeros((2, 4)))
-    c0 = ad.constant(np.zeros((2, 4)))
-    w_in = ad.constant(np.zeros((3, 16)))
-    w_rec = ad.constant(np.zeros((4, 16)))
-    bias = ad.constant(np.zeros(16))
-    h, c = ad.lstm_step(x, h0, c0, w_in, w_rec, bias)
+    # zero weights and input: every gate sits at 0.5, the candidate at 0
+    x = ad.constant(np.zeros((2, 3, 3)))
+    layers = [(ad.constant(np.zeros((3, 16))), ad.constant(np.zeros((4, 16))),
+               ad.constant(np.zeros(16)))]
+    h = ad.lstm_sequence(x, layers)
     npt.assert_array_equal(h.data, np.zeros((2, 4)))
-    npt.assert_array_equal(c.data, np.zeros((2, 4)))
 
 
 def test_scalar_cell_matches_hand_computation():
-    # 1-wide cell with hand-set weights, gate order: input, forget, cand, out
+    # two steps of a 1-wide cell from a zero state, gate order: input,
+    # forget, cand, out
     wx = np.array([[0.5, 0.25, -0.5, 1.0]])
     wh = np.array([[1.0, 0.5, -0.25, 0.75]])
     b = np.array([0.1, 0.2, 0.3, 0.4])
-    x_val, h_val, c_val = 0.3, 0.2, -0.1
+    xs = (0.3, -0.7)
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    zi = x_val * wx[0, 0] + h_val * wh[0, 0] + b[0]
-    zf = x_val * wx[0, 1] + h_val * wh[0, 1] + b[1]
-    zg = x_val * wx[0, 2] + h_val * wh[0, 2] + b[2]
-    zo = x_val * wx[0, 3] + h_val * wh[0, 3] + b[3]
-    c_expected = sig(zf) * c_val + sig(zi) * math.tanh(zg)
-    h_expected = sig(zo) * math.tanh(c_expected)
+    h_val = c_val = 0.0
+    for x_val in xs:
+        zi, zf, zg, zo = (x_val * wx[0, k] + h_val * wh[0, k] + b[k] for k in range(4))
+        c_val = sig(zf) * c_val + sig(zi) * math.tanh(zg)
+        h_val = sig(zo) * math.tanh(c_val)
 
-    h, c = ad.lstm_step(ad.constant(np.array([[x_val]])),
-                        ad.constant(np.array([[h_val]])),
-                        ad.constant(np.array([[c_val]])),
-                        ad.constant(wx), ad.constant(wh), ad.constant(b))
-    npt.assert_allclose(float(c.data[0, 0]), c_expected, rtol=1e-12)
-    npt.assert_allclose(float(h.data[0, 0]), h_expected, rtol=1e-12)
+    h = ad.lstm_sequence(ad.constant(np.array([[[xs[0]], [xs[1]]]])),
+                         [(ad.constant(wx), ad.constant(wh), ad.constant(b))])
+    npt.assert_allclose(float(h.data[0, 0]), h_val, rtol=1e-12)
+
+
+def test_sequence_is_one_graph_node():
+    rng = np.random.default_rng(13)
+    x, layers = _stacked_case(rng)
+    out = ad.lstm_sequence(x, layers)
+    assert out.op == "lstm_sequence"
+    expected = [x] + [t for layer in layers for t in layer]
+    assert len(out._parents) == len(expected)
+    assert all(p is q for p, q in zip(out._parents, expected))
+
+
+def test_gate_weights_must_match_hidden_size():
+    x = ad.constant(np.zeros((2, 3, 3)))
+    layers = [(ad.constant(np.zeros((3, 12))), ad.constant(np.zeros((4, 16))),
+               ad.constant(np.zeros(16)))]
+    with pytest.raises(ShapeError, match="lstm_sequence"):
+        ad.lstm_sequence(x, layers)
 
 
 def test_two_step_unroll_gradient_matches_finite_differences():
@@ -66,16 +91,14 @@ def test_two_step_unroll_gradient_matches_finite_differences():
 
 
 def test_stacked_layers_shapes_and_determinism():
-    rng = np.random.default_rng(12)
-    hidden = 4
-    layers = [(ad.constant(rng.normal(size=(3, 4 * hidden))),
-               ad.constant(rng.normal(size=(hidden, 4 * hidden))),
-               ad.constant(rng.normal(size=4 * hidden))),
-              (ad.constant(rng.normal(size=(hidden, 4 * hidden))),
-               ad.constant(rng.normal(size=(hidden, 4 * hidden))),
-               ad.constant(rng.normal(size=4 * hidden)))]
-    x = ad.constant(rng.normal(size=(2, 5, 3)))
+    x, layers = _stacked_case(np.random.default_rng(12))
     out1 = ad.lstm_sequence(x, layers)
     out2 = ad.lstm_sequence(x, layers)
-    assert out1.data.shape == (2, hidden)
+    assert out1.data.shape == (2, 4)
     npt.assert_array_equal(out1.data, out2.data)
+
+
+def test_stacked_layers_match_numpy_reference():
+    x, layers = _stacked_case(np.random.default_rng(12))
+    expected = lstm_reference(x.data, [tuple(t.data for t in layer) for layer in layers])
+    npt.assert_array_equal(ad.lstm_sequence(x, layers).data, expected)

@@ -231,6 +231,26 @@ def test_load_reads_question_encoder_echo(tmp_path):
                 load_model(path)
 
 
+def test_load_rejects_config_echo_with_unknown_or_missing_key(tmp_path, capsys):
+    from mtvqa.autodiff.checkpoint import save_checkpoint
+    from mtvqa.cli import main
+    model = tiny_model("mtl_simple", seed=5)
+    params = {n: p.data for n, p in model.params.items()}
+    echo = model.config.to_dict()
+    meta = {"variant": "mtl_simple", "config": echo, "embed_trainable": True, "extras": None}
+    bad = {"dropout": dict(meta, config=dict(echo, dropout=0.5)),
+           "n_answers": dict(meta, config={k: v for k, v in echo.items() if k != "n_answers"}),
+           "config echo": {k: v for k, v in meta.items() if k != "config"}}
+    for key, bad_meta in bad.items():
+        path = tmp_path / f"{key}.ckpt"
+        save_checkpoint(path, params, config=bad_meta)
+        with pytest.raises(FormatError, match=key):
+            load_model(path)
+        assert main(["eval", "--model", str(path), "--data", str(tmp_path / "none.tsv"),
+                     "--features", str(tmp_path / "none.feat")]) == 1
+        assert key in capsys.readouterr().err
+
+
 def test_embedding_pad_row_pinned():
     model = tiny_model("mtl_simple")
     emb = model.params["embedding"]

@@ -1,3 +1,4 @@
+import gc
 import zlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError, TrainingError
 
-from helpers import OP_CASES
+from helpers import OP_CASES, tiny_model
 
 
 def test_affine_identity_passthrough():
@@ -98,6 +99,25 @@ def test_shape_errors_name_the_operator():
                   ad.constant(np.zeros(2)))
     with pytest.raises(ShapeError, match="max_over_time"):
         ad.max_over_time(a)
+
+
+@pytest.mark.parametrize("variant", ["mtl_simple", "vqateam_mtl"])
+def test_backpropagated_graph_is_freed_without_the_cyclic_collector(variant):
+    model = tiny_model(variant)
+    cfg, rng = model.config, np.random.default_rng(5)
+    images = rng.normal(size=(3, cfg.feature_dim))
+    ids = rng.integers(1, cfg.vocab_size, size=(3, model.n_heads, cfg.max_len))
+    targets = rng.integers(0, cfg.n_answers, size=(3, model.n_heads))
+    mask = np.ones((3, model.n_heads), dtype=bool)
+    gc.collect()
+    gc.disable()
+    try:
+        loss, logits = model.loss(images, ids, targets, mask)
+        loss.backward()
+        del loss, logits
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_backward_requires_scalar():
