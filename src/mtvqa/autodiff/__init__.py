@@ -1,6 +1,5 @@
 from .tensor import (
     Tensor,
-    add,
     affine,
     concat,
     constant,
@@ -10,7 +9,6 @@ from .tensor import (
     mul,
     parameter,
     scale,
-    sigmoid,
     softmax_cross_entropy_masked,
     tanh,
     weighted_sum,
@@ -22,8 +20,8 @@ from .gradcheck import GradCheckReport, check_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "Tensor", "add", "affine", "concat", "constant", "conv1d", "embedding",
-    "max_over_time", "mul", "parameter", "scale", "sigmoid",
+    "Tensor", "affine", "concat", "constant", "conv1d", "embedding",
+    "max_over_time", "mul", "parameter", "scale",
     "softmax_cross_entropy_masked", "tanh", "weighted_sum", "zero_grads",
     "lstm_sequence", "Nadam", "SgdMomentum", "GradCheckReport",
     "check_gradients", "load_checkpoint", "save_checkpoint",

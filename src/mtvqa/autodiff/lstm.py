@@ -4,8 +4,8 @@ The forward pass keeps every step's gate values and the backward pass runs
 backpropagation through time over them by hand (Appleyard, Kočiský &
 Blunsom 2016, arXiv:1604.01946), so encoding a question adds one node to
 the graph instead of a dozen per token and layer.  Each step evaluates the
-same elementwise products a cell built from `affine`, `sigmoid`, `tanh`,
-`mul` and `add` would, in the same order.
+same elementwise products as an unfused cell of affine maps, logistic and
+tanh gates, products and sums, in the same order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _accum, _sigmoid
+from .tensor import _accum, _node, _sigmoid
 
 
 def lstm_sequence(x_seq, layers):
@@ -64,13 +64,12 @@ def lstm_sequence(x_seq, layers):
             gates[li].append((i, f, g, o, tc))
 
     weights = [w for layer in layers for w in layer]
-    out = Tensor(hs[-1][-1], parents=(x_seq, *weights), op="lstm_sequence")
 
-    def _bw():
+    def _bw(dh_top):
         gx = np.zeros_like(x_seq.data)
         gw = [np.zeros_like(w.data) for w in weights]
         # gradient reaching each layer's h and c from the step after
-        dh_next = [0.0] * (len(layers) - 1) + [out.grad]
+        dh_next = [0.0] * (len(layers) - 1) + [dh_top]
         dc_next = [0.0] * len(layers)
         for t in reversed(range(steps)):
             d_up = 0.0  # gradient reaching this layer's h from the layer above
@@ -95,5 +94,4 @@ def lstm_sequence(x_seq, layers):
         for w, g in zip(weights, gw):
             _accum(w, g)
 
-    out._backward = _bw
-    return out
+    return _node(hs[-1][-1], (x_seq, *weights), "lstm_sequence", _bw)

@@ -4,13 +4,19 @@ A Tensor wraps a float64 ndarray and remembers how it was produced, so a
 single `backward()` call on a scalar output fills `.grad` on every tensor
 that contributed to it.  Only the operators needed by the question-answering
 models are provided: affine maps, valid 1-d convolution over token
-positions, max-over-time pooling, tanh/sigmoid, concatenation along the
-feature axis, elementwise product, embedding lookup, a fused stacked LSTM
-(in `lstm.py`) and a masked softmax cross entropy.  There is no broadcasting
+positions, max-over-time pooling, tanh, concatenation along the feature
+axis, elementwise product, embedding lookup, a fused stacked LSTM (in
+`lstm.py`) and a masked softmax cross entropy.  There is no broadcasting
 beyond what these operators define internally.
+
+Every operator builds its output with `_node`, and no node refers to
+itself, so no graph is a reference cycle: reference counting frees a graph
+as soon as the caller lets go of its root, backpropagated or not.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -25,7 +31,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "op", "name", "trainable", "grad_mask",
-                 "_parents", "_backward")
+                 "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), op="leaf", name=None, trainable=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -49,12 +55,14 @@ class Tensor:
         """Backpropagate from this scalar through the whole graph.
 
         A graph can be backpropagated once: each node drops its backward
-        rule after running it.  That rule closes over the node, so dropping
-        it breaks the reference cycle and lets the graph be freed as soon as
-        the caller lets go of it, without waiting for the cyclic collector.
+        rule after running it, and a second call raises `TrainingError`.
+        Dropping the rules frees the arrays they saved (convolution
+        windows, LSTM gates) while the caller still holds this tensor.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward: output must be scalar, got shape {self.data.shape}")
+        if self._parents and self._backward is None:
+            raise TrainingError(f"backward: this {self.op} graph was already backpropagated")
         order = _toposort(self)
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(order):
@@ -70,6 +78,20 @@ def parameter(data, name):
 
 def constant(data):
     return Tensor(data, op="const")
+
+
+def _node(data, parents, op, rule):
+    """The output of an operator, whose gradient `g` flows back by `rule(g)`.
+
+    `rule` may refer to the inputs and to arrays saved by the forward pass,
+    never to the output.  `_backward` stays a zero-argument callable; it
+    reaches the output only through a weak reference, which is alive when
+    it runs because `Tensor.backward` holds every node of the graph.
+    """
+    out = Tensor(data, parents=parents, op=op)
+    ref = weakref.ref(out)
+    out._backward = lambda: rule(ref().grad)
+    return out
 
 
 def _toposort(root):
@@ -107,71 +129,41 @@ def zero_grads(tensors):
 # ---------------------------------------------------------------------------
 # elementwise operators
 
-def add(a, b):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data + b.data, parents=(a, b), op="add")
-
-    def _bw():
-        _accum(a, out.grad)
-        _accum(b, out.grad)
-
-    out._backward = _bw
-    return out
-
-
 def mul(a, b):
     """Elementwise (Hadamard) product of same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data * b.data, parents=(a, b), op="mul")
 
-    def _bw():
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
+    def _bw(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    out._backward = _bw
-    return out
+    return _node(a.data * b.data, (a, b), "mul", _bw)
 
 
 def scale(a, c):
     """Multiply by a python constant (not differentiated through `c`)."""
     c = float(c)
-    out = Tensor(a.data * c, parents=(a,), op="scale")
 
-    def _bw():
-        _accum(a, out.grad * c)
+    def _bw(g):
+        _accum(a, g * c)
 
-    out._backward = _bw
-    return out
+    return _node(a.data * c, (a,), "scale", _bw)
 
 
 def tanh(a):
     y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,), op="tanh")
 
-    def _bw():
-        _accum(a, out.grad * (1.0 - y * y))
+    def _bw(g):
+        _accum(a, g * (1.0 - y * y))
 
-    out._backward = _bw
-    return out
+    return _node(y, (a,), "tanh", _bw)
 
 
 def _sigmoid(x):
     """Logistic function without overflow for large |x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (e + 1.0)
-
-
-def sigmoid(a):
-    y = _sigmoid(a.data)
-    out = Tensor(y, parents=(a,), op="sigmoid")
-
-    def _bw():
-        _accum(a, out.grad * y * (1.0 - y))
-
-    out._backward = _bw
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +175,13 @@ def affine(x, w, b):
         raise ShapeError(f"affine: incompatible shapes {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"affine: bias shape {b.data.shape} does not match output width {w.data.shape[1]}")
-    out = Tensor(x.data @ w.data + b.data, parents=(x, w, b), op="affine")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
         _accum(b, g.sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return _node(x.data @ w.data + b.data, (x, w, b), "affine", _bw)
 
 
 def conv1d(x, w, b):
@@ -216,10 +205,8 @@ def conv1d(x, w, b):
     win = np.stack([x.data[:, i:i + tp, :] for i in range(width)], axis=2)
     win = win.reshape(bsz, tp, width * ch)
     wr = w.data.reshape(width * ch, nf)
-    out = Tensor(win @ wr + b.data, parents=(x, w, b), op="conv1d")
 
-    def _bw():
-        g = out.grad  # (batch, tp, nf)
+    def _bw(g):  # g: (batch, tp, nf)
         gw = win.reshape(bsz * tp, width * ch).T @ g.reshape(bsz * tp, nf)
         _accum(w, gw.reshape(width, ch, nf))
         _accum(b, g.sum(axis=(0, 1)))
@@ -229,8 +216,7 @@ def conv1d(x, w, b):
             gx[:, i:i + tp, :] += gwin[:, :, i, :]
         _accum(x, gx)
 
-    out._backward = _bw
-    return out
+    return _node(win @ wr + b.data, (x, w, b), "conv1d", _bw)
 
 
 def max_over_time(x):
@@ -241,20 +227,18 @@ def max_over_time(x):
     bsz, _, ch = x.data.shape
     bi = np.arange(bsz)[:, None]
     ci = np.arange(ch)[None, :]
-    out = Tensor(x.data[bi, idx, ci], parents=(x,), op="max_over_time")
 
-    def _bw():
+    def _bw(g):
         gx = np.zeros_like(x.data)
-        gx[bi, idx, ci] = out.grad
+        gx[bi, idx, ci] = g
         _accum(x, gx)
 
-    out._backward = _bw
-    return out
+    return _node(x.data[bi, idx, ci], (x,), "max_over_time", _bw)
 
 
 def concat(tensors, what="features"):
     """Concatenate along the last (feature) axis."""
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     if not tensors:
         raise ShapeError("concat: no inputs")
     lead = tensors[0].data.shape[:-1]
@@ -262,17 +246,14 @@ def concat(tensors, what="features"):
         if t.data.shape[:-1] != lead:
             raise ShapeError(f"concat: leading shapes differ ({what})")
     sizes = [t.data.shape[-1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1),
-                 parents=tuple(tensors), op="concat")
 
-    def _bw():
+    def _bw(g):
         off = 0
         for t, sz in zip(tensors, sizes):
-            _accum(t, out.grad[..., off:off + sz])
+            _accum(t, g[..., off:off + sz])
             off += sz
 
-    out._backward = _bw
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=-1), tensors, "concat", _bw)
 
 
 def embedding(table, ids):
@@ -282,15 +263,13 @@ def embedding(table, ids):
         raise ShapeError(f"embedding: table must be 2-d, got {table.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ShapeError("embedding: id out of range for table")
-    out = Tensor(table.data[ids], parents=(table,), op="embedding")
 
-    def _bw():
+    def _bw(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), out.grad.reshape(-1, table.data.shape[1]))
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         _accum(table, gt)
 
-    out._backward = _bw
-    return out
+    return _node(table.data[ids], (table,), "embedding", _bw)
 
 
 def weighted_sum(t, weights):
@@ -298,13 +277,11 @@ def weighted_sum(t, weights):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != t.data.shape:
         raise ShapeError(f"weighted_sum: weight shape {weights.shape} != {t.data.shape}")
-    out = Tensor(np.float64((t.data * weights).sum()), parents=(t,), op="weighted_sum")
 
-    def _bw():
-        _accum(t, weights * out.grad)
+    def _bw(g):
+        _accum(t, weights * g)
 
-    out._backward = _bw
-    return out
+    return _node(np.float64((t.data * weights).sum()), (t,), "weighted_sum", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +296,7 @@ def softmax_cross_entropy_masked(logits_heads, targets_heads, masks_heads):
     entries are never read, so -1 is a valid placeholder.  The result is the
     plain sum over unmasked rows of all heads (no averaging).
     """
-    logits_heads = list(logits_heads)
+    logits_heads = tuple(logits_heads)
     saved = []
     total = np.float64(0.0)
     for h, (lg, tg, mk) in enumerate(zip(logits_heads, targets_heads, masks_heads)):
@@ -345,15 +322,11 @@ def softmax_cross_entropy_masked(logits_heads, targets_heads, masks_heads):
         total = total + np.where(mk, ce, 0.0).sum()
         saved.append((lg, ez / sez[:, None], safe, mk))
 
-    out = Tensor(np.float64(total), parents=tuple(logits_heads), op="softmax_ce_masked")
-
-    def _bw():
-        g = out.grad
+    def _bw(g):
         for lg, probs, safe, mk in saved:
             d = probs.copy()
             d[np.arange(d.shape[0]), safe] -= 1.0
             d *= mk[:, None].astype(np.float64)  # exact zeros on masked rows
             _accum(lg, d * g)
 
-    out._backward = _bw
-    return out
+    return _node(np.float64(total), logits_heads, "softmax_ce_masked", _bw)

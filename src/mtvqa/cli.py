@@ -231,8 +231,11 @@ def _cmd_eval(args):
 
 
 def _cmd_experiment(args):
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if "," in args.seeds \
-        else tuple(range(args.seed, args.seed + int(args.seeds)))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(",")) if "," in args.seeds \
+            else tuple(range(args.seed, args.seed + int(args.seeds)))
+    except ValueError as exc:
+        raise ConfigError(f"--seeds expects a count or a list like 0,1,2, got {args.seeds!r}") from exc
     if args.train_data and args.test_data and args.features:
         bundle = _bundle_from_files(args.train_data, args.test_data, args.features)
         source = {"train_data": args.train_data, "test_data": args.test_data}

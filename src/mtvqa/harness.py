@@ -135,9 +135,8 @@ def _infer(model, data, indices, batch_size, with_loss=False, with_logits=False)
         preds.append(np.stack([np.argmax(lg.data, axis=1) for lg in heads], axis=1))
         if with_logits:
             logits.append(np.stack([lg.data for lg in heads], axis=1))
-        # drop this batch's graph before the next forward builds one: graph
-        # nodes are reference cycles, and a collection that finds the graph
-        # still referenced moves it to an older generation, where it lingers
+        # drop this batch's graph before the next forward builds one, so
+        # only one batch graph is alive at a time
         del heads
     return np.concatenate(preds), loss, np.concatenate(logits) if with_logits else None
 
@@ -474,6 +473,9 @@ def run_experiment(kind, bundle, model_cfg, train_cfg, seeds=(0, 1, 2)):
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     seeds = tuple(int(s) for s in seeds)
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"run_experiment: seeds must be a non-empty list of "
+                          f"non-negative integers, got {seeds}")
     tasks = bundle.tasks
 
     def train_set(form):

@@ -17,12 +17,6 @@ def _p(rng, shape, name):
     return ad.parameter(rng.normal(size=shape), name)
 
 
-def op_case_add(rng):
-    a, b = _p(rng, (2, 3), "a"), _p(rng, (2, 3), "b")
-    w = rng.normal(size=(2, 3))
-    return lambda: ad.weighted_sum(ad.add(a, b), w), [a, b]
-
-
 def op_case_mul(rng):
     a, b = _p(rng, (2, 3), "a"), _p(rng, (2, 3), "b")
     w = rng.normal(size=(2, 3))
@@ -40,12 +34,6 @@ def op_case_tanh(rng):
     a = _p(rng, (2, 4), "a")
     w = rng.normal(size=(2, 4))
     return lambda: ad.weighted_sum(ad.tanh(a), w), [a]
-
-
-def op_case_sigmoid(rng):
-    a = _p(rng, (2, 4), "a")
-    w = rng.normal(size=(2, 4))
-    return lambda: ad.weighted_sum(ad.sigmoid(a), w), [a]
 
 
 def op_case_affine(rng):
@@ -128,11 +116,9 @@ def lstm_reference(x, layers):
 
 
 OP_CASES = {
-    "add": op_case_add,
     "mul": op_case_mul,
     "scale": op_case_scale,
     "tanh": op_case_tanh,
-    "sigmoid": op_case_sigmoid,
     "affine": op_case_affine,
     "conv1d": op_case_conv1d,
     "max_over_time": op_case_max_over_time,

@@ -134,6 +134,15 @@ def test_experiment_reruns_byte_identical(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("seeds", ["0", "1,", "x"])
+def test_experiment_rejects_bad_seeds(tmp_path, capsys, seeds):
+    argv = _experiment_args(tmp_path / "exp")
+    argv[argv.index("--seeds") + 1] = seeds
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_ingest_daquar(tmp_path, capsys):
     raw = tmp_path / "qa.txt"
     raw.write_text("how many chairs are in the image1 ?\n2\n"

@@ -1,6 +1,7 @@
 import numpy as np
 
 from mtvqa import autodiff as ad
+from mtvqa.autodiff.tensor import _accum, _node
 
 
 def test_constant_graph_passes():
@@ -18,14 +19,7 @@ def test_corrupted_backward_rule_fails():
     # negative control: a tanh clone whose backward is off by 10 percent
     def bad_tanh(a):
         y = np.tanh(a.data)
-        out = ad.Tensor(y, parents=(a,), op="bad_tanh")
-
-        def _bw():
-            a.grad = (a.grad if a.grad is not None else np.zeros_like(a.data)) \
-                + 1.1 * out.grad * (1.0 - y * y)
-
-        out._backward = _bw
-        return out
+        return _node(y, (a,), "bad_tanh", lambda g: _accum(a, 1.1 * g * (1.0 - y * y)))
 
     rng = np.random.default_rng(5)
     p = ad.parameter(rng.normal(size=(2, 3)), "p")

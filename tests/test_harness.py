@@ -322,6 +322,12 @@ def test_run_experiment_unknown_kind(bundle, small_cfg):
         run_experiment("nope", bundle, small_cfg, _quick_cfg(), seeds=(0,))
 
 
+@pytest.mark.parametrize("seeds", [(), (1, -1)])
+def test_run_experiment_rejects_bad_seeds(bundle, small_cfg, seeds):
+    with pytest.raises(ConfigError, match="seeds"):
+        run_experiment("mtl_vs_stl", bundle, small_cfg, _quick_cfg(), seeds=seeds)
+
+
 def test_experiment_is_fully_deterministic(bundle, small_cfg):
     cfg = _quick_cfg(max_epochs_nadam=2, max_epochs_sgd=1)
     a = run_experiment("mtl_vs_stl", bundle, small_cfg, cfg, seeds=(0,))
