@@ -11,7 +11,6 @@ from .tensor import (
     scale,
     softmax_cross_entropy_masked,
     tanh,
-    weighted_sum,
     zero_grads,
 )
 from .lstm import lstm_sequence
@@ -22,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 __all__ = [
     "Tensor", "affine", "concat", "constant", "conv1d", "embedding",
     "max_over_time", "mul", "parameter", "scale",
-    "softmax_cross_entropy_masked", "tanh", "weighted_sum", "zero_grads",
+    "softmax_cross_entropy_masked", "tanh", "zero_grads",
     "lstm_sequence", "Nadam", "SgdMomentum", "GradCheckReport",
     "check_gradients", "load_checkpoint", "save_checkpoint",
 ]

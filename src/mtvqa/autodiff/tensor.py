@@ -2,12 +2,13 @@
 
 A Tensor wraps a float64 ndarray and remembers how it was produced, so a
 single `backward()` call on a scalar output fills `.grad` on every tensor
-that contributed to it.  Only the operators needed by the question-answering
-models are provided: affine maps, valid 1-d convolution over token
-positions, max-over-time pooling, tanh, concatenation along the feature
-axis, elementwise product, embedding lookup, a fused stacked LSTM (in
-`lstm.py`) and a masked softmax cross entropy.  There is no broadcasting
-beyond what these operators define internally.
+that contributed to it.  The engine holds exactly the operators that the
+question-answering models and their training run: affine maps, valid 1-d
+convolution over token positions, max-over-time pooling, tanh,
+concatenation along the feature axis, elementwise product, embedding
+lookup, a fused stacked LSTM (in `lstm.py`), a masked softmax cross
+entropy, and scaling by a constant (the training loss's 1/batch factor).
+There is no broadcasting beyond what these operators define internally.
 
 Every operator builds its output with `_node`, and no node refers to
 itself, so no graph is a reference cycle: reference counting frees a graph
@@ -30,15 +31,14 @@ class Tensor:
     receive gradient (used to freeze the padding row of embedding tables).
     """
 
-    __slots__ = ("data", "grad", "op", "name", "trainable", "grad_mask",
+    __slots__ = ("data", "grad", "op", "name", "grad_mask",
                  "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, parents=(), op="leaf", name=None, trainable=False):
+    def __init__(self, data, parents=(), op="leaf", name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.op = op
         self.name = name
-        self.trainable = trainable
         self.grad_mask = None
         self._parents = tuple(parents)
         self._backward = None
@@ -73,7 +73,7 @@ class Tensor:
 
 def parameter(data, name):
     """A trainable leaf tensor."""
-    return Tensor(np.array(data, dtype=np.float64), op="param", name=name, trainable=True)
+    return Tensor(np.array(data, dtype=np.float64), op="param", name=name)
 
 
 def constant(data):
@@ -236,7 +236,7 @@ def max_over_time(x):
     return _node(x.data[bi, idx, ci], (x,), "max_over_time", _bw)
 
 
-def concat(tensors, what="features"):
+def concat(tensors):
     """Concatenate along the last (feature) axis."""
     tensors = tuple(tensors)
     if not tensors:
@@ -244,7 +244,7 @@ def concat(tensors, what="features"):
     lead = tensors[0].data.shape[:-1]
     for t in tensors:
         if t.data.shape[:-1] != lead:
-            raise ShapeError(f"concat: leading shapes differ ({what})")
+            raise ShapeError("concat: leading shapes differ")
     sizes = [t.data.shape[-1] for t in tensors]
 
     def _bw(g):
@@ -270,18 +270,6 @@ def embedding(table, ids):
         _accum(table, gt)
 
     return _node(table.data[ids], (table,), "embedding", _bw)
-
-
-def weighted_sum(t, weights):
-    """Scalar projection sum(t * weights) for a fixed weight array."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != t.data.shape:
-        raise ShapeError(f"weighted_sum: weight shape {weights.shape} != {t.data.shape}")
-
-    def _bw(g):
-        _accum(t, weights * g)
-
-    return _node(np.float64((t.data * weights).sum()), (t,), "weighted_sum", _bw)
 
 
 # ---------------------------------------------------------------------------

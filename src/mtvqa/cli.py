@@ -18,37 +18,39 @@ from pathlib import Path
 from . import corpus, datasets, harness, models, reports, textenc
 from .errors import ConfigError, MtvqaError
 
-_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(harness.TrainConfig)}
-_MODEL_INT_FIELDS = ("embed_dim", "max_len", "filters_per_width", "hidden_dim",
-                     "img_compress_dim", "lstm_dim", "lstm_depth", "common_dim")
+
+def _seed(text):
+    """`--seed`, else MTVQA_SEED, else 0, as a non-negative integer."""
+    text = os.environ.get("MTVQA_SEED", "0") if text is None else text
+    if not text.strip().isdecimal():
+        raise ConfigError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
-def _env_seed():
-    return int(os.environ.get("MTVQA_SEED", "0"))
+_PARSE = {"int": int, "float": float, "str": str,
+          "tuple": lambda text: tuple(int(v) for v in text.split(",") if v)}
 
 
-def _coerce(text, kind):
-    if kind in ("int",):
-        return int(text)
-    if kind in ("float",):
-        return float(text)
-    return text
+def _overrides(items, config_cls, flag):
+    """`key=val` items as typed values of the defaulted fields of `config_cls`."""
+    fields = {f.name: f.type for f in dataclasses.fields(config_cls)
+              if f.default is not dataclasses.MISSING}
+    out = {}
+    for item in items or []:
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ConfigError(f"{flag} expects key=val, got {item!r}")
+        if key not in fields:
+            raise ConfigError(f"{flag}: unknown option {key!r}")
+        try:
+            out[key] = _PARSE[fields[key]](val)
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: bad value for {key}: {val!r}") from exc
+    return out
 
 
 def _train_config(args):
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=val, got {item!r}")
-        key, val = item.split("=", 1)
-        if key not in _TRAIN_FIELDS:
-            raise ConfigError(f"unknown training option {key!r}")
-        declared = str(_TRAIN_FIELDS[key])
-        kind = "int" if declared == "int" else "float" if declared == "float" else "str"
-        try:
-            overrides[key] = _coerce(val, kind)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {val!r}") from exc
+    overrides = _overrides(args.set, harness.TrainConfig, "--set")
     overrides.setdefault("seed", args.seed)
     cfg = dataclasses.replace(harness.TrainConfig(), **overrides)
     cfg.validate()
@@ -56,18 +58,7 @@ def _train_config(args):
 
 
 def _model_overrides(args):
-    out = {}
-    for item in args.model_set or []:
-        if "=" not in item:
-            raise ConfigError(f"--model-set expects key=val, got {item!r}")
-        key, val = item.split("=", 1)
-        if key in _MODEL_INT_FIELDS:
-            out[key] = int(val)
-        elif key in ("filter_widths", "classifier_dims"):
-            out[key] = tuple(int(v) for v in val.split(",") if v)
-        else:
-            raise ConfigError(f"unknown model option {key!r}")
-    return out
+    return _overrides(args.model_set, models.ModelConfig, "--model-set")
 
 
 def _keyword_config(args):
@@ -289,8 +280,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=_env_seed(),
-                       help="seed (default: MTVQA_SEED env var or 0)")
+        p.add_argument("--seed", help="seed (default: MTVQA_SEED env var or 0)")
 
     p = sub.add_parser("ingest", help="parse a raw corpus and label question types")
     p.add_argument("--format", choices=("daquar", "cocoqa"), required=True)
@@ -370,6 +360,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "seed" in vars(args):
+            args.seed = _seed(args.seed)
         return args.func(args)
     except MtvqaError as exc:
         print(f"error: {exc}", file=sys.stderr)

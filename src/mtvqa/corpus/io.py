@@ -17,42 +17,44 @@ _SINGLE_MAGIC = "mtvqa-single v1"
 
 
 def write_labeled(path, questions):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_LABELED_MAGIC + "\n")
-        for q in questions:
-            fh.write(f"{q.image_id}\t{q.qtype.value}\t{q.answer}\t{' '.join(q.tokens)}\n")
+    _write_records(path, _LABELED_MAGIC, questions)
 
 
 def read_labeled(path):
-    lines = _read_with_header(path, _LABELED_MAGIC)
-    out = []
-    for lineno, line in lines:
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 fields, found {len(parts)}")
-        image_id, qtype, answer, tokens = parts
-        out.append(LabeledQuestion(image_id=image_id, tokens=tuple(tokens.split()),
-                                   answer=answer, qtype=parse_qtype(qtype)))
-    return out
+    return _read_records(path, _LABELED_MAGIC, LabeledQuestion)
 
 
 def write_single(path, singles):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_SINGLE_MAGIC + "\n")
-        for s in singles:
-            fh.write(f"{s.image_id}\t{s.qtype.value}\t{s.answer}\t{' '.join(s.tokens)}\n")
+    _write_records(path, _SINGLE_MAGIC, singles)
 
 
 def read_single(path):
-    lines = _read_with_header(path, _SINGLE_MAGIC)
+    return _read_records(path, _SINGLE_MAGIC, SingleTaskExample)
+
+
+def _write_records(path, magic, records):
+    """One question per line: image id, type, answer, space-joined tokens."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(magic + "\n")
+        for r in records:
+            fh.write(f"{r.image_id}\t{r.qtype.value}\t{r.answer}\t{' '.join(r.tokens)}\n")
+
+
+def _read_records(path, magic, record):
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+    if not raw or raw[0] != magic:
+        raise FormatError(f"{path}: missing header {magic!r}")
     out = []
-    for lineno, line in lines:
+    for lineno, line in enumerate(raw[1:], start=2):
+        if not line.strip():
+            continue
         parts = line.split("\t")
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 4 fields, found {len(parts)}")
         image_id, qtype, answer, tokens = parts
-        out.append(SingleTaskExample(image_id=image_id, qtype=parse_qtype(qtype),
-                                     tokens=tuple(tokens.split()), answer=answer))
+        out.append(record(image_id=image_id, qtype=parse_qtype(qtype),
+                          tokens=tuple(tokens.split()), answer=answer))
     return out
 
 
@@ -102,10 +104,10 @@ def read_multitask(path):
     return examples, tasks
 
 
-def write_rejections(path, rejected, reason="no keyword matched"):
+def write_rejections(path, rejected):
     with open(path, "w", encoding="utf-8") as fh:
         for q in rejected:
-            fh.write(f"{q.image_id}\t{reason}\t{' '.join(q.tokens)}\n")
+            fh.write(f"{q.image_id}\tno keyword matched\t{' '.join(q.tokens)}\n")
 
 
 def write_audit(path, sample):
@@ -113,10 +115,3 @@ def write_audit(path, sample):
         for q in sample:
             fh.write(f"{q.qtype.value}\t{q.image_id}\t{q.answer}\t{' '.join(q.tokens)}\n")
 
-
-def _read_with_header(path, magic):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != magic:
-        raise FormatError(f"{path}: missing header {magic!r}")
-    return [(i, ln) for i, ln in enumerate(raw[1:], start=2) if ln.strip()]

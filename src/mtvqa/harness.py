@@ -29,6 +29,7 @@ from .textenc import build_vocab, random_embeddings
 
 EXPERIMENT_KINDS = ("mtl_vs_stl", "architecture_control", "shared_info_control",
                     "vqateam_compare")
+_EVAL_BATCH = 256  # rows per forward pass in `evaluate` and `prediction_logits`
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ class TrainConfig:
             raise ConfigError("epoch caps must be >= 0")
         if self.keep not in ("best", "last"):
             raise ConfigError("keep must be 'best' or 'last'")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -167,7 +170,7 @@ def train(model, data, cfg):
 
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _image_level_split(data.image_ids, cfg.val_fraction, rng)
-    params = model.trainable_params()
+    params = list(model.params.values())
     best = _snapshot(model)
     best_val = np.inf
     best_epoch = None
@@ -271,16 +274,16 @@ class EvalReport:
         return d
 
 
-def prediction_logits(model, data, batch_size=256):
+def prediction_logits(model, data):
     """(n, heads, answers) raw logits, for exact-invariance checks."""
-    return _infer(model, data, np.arange(len(data)), batch_size, with_logits=True)[2]
+    return _infer(model, data, np.arange(len(data)), _EVAL_BATCH, with_logits=True)[2]
 
 
-def evaluate(model, data, batch_size=256):
+def evaluate(model, data):
     """Masked slots are excluded from numerator and denominator alike."""
     correct = {t: 0 for t in data.tasks}
     counts = {t: 0 for t in data.tasks}
-    preds, _, _ = _infer(model, data, np.arange(len(data)), batch_size)
+    preds, _, _ = _infer(model, data, np.arange(len(data)), _EVAL_BATCH)
     hits = (preds == data.targets) & data.mask
     for k, t in enumerate(data.tasks):
         cells = (data.qtypes == k) & data.mask
@@ -353,31 +356,28 @@ class CorpusBundle:
                              self.max_len, self.features)
 
 
-def bundle_from_examples(train_combined, test_combined, features, tasks, max_len=None):
-    """Build vocabularies from the training half only."""
+def bundle_from_examples(train_combined, test_combined, features, tasks):
+    """Vocabularies from the training half only; max_len is the longest question, at most 25."""
     train_tokens = [tokens for ex in train_combined for _, (tokens, _) in ex.slots]
     vocab = build_vocab(train_tokens)
     answer_vocab = build_answer_vocab(answers_of_multitask(train_combined))
-    if max_len is None:
-        lengths = [len(t) for ex in train_combined + test_combined
-                   for _, (t, _) in ex.slots]
-        max_len = min(25, max(lengths)) if lengths else 25
+    lengths = [len(t) for ex in train_combined + test_combined for _, (t, _) in ex.slots]
+    max_len = min(25, max(lengths)) if lengths else 25
     return CorpusBundle(tasks=tuple(tasks), train_combined=train_combined,
                         test_combined=test_combined, features=features,
                         vocab=vocab, answer_vocab=answer_vocab, max_len=max_len)
 
 
-def synthetic_bundle(train_images, test_images, noise_std=0.0, seed=0, tasks=None,
-                     scene=None):
-    """Generate one seeded corpus and split it by image into train and test."""
+def synthetic_bundle(train_images, test_images, noise_std=0.0, seed=0, scene=None):
+    """Generate one seeded corpus and split it by image into train and test;
+    the tasks are the question types it holds, in name order."""
     cfg = scene or SyntheticSceneConfig(num_images=train_images + test_images,
                                         noise_std=noise_std, seed=seed)
     questions, features = gen_synthetic_corpus(cfg)
     split_at = f"img{train_images:05d}"
     train_qs = [q for q in questions if q.image_id < split_at]
     test_qs = [q for q in questions if q.image_id >= split_at]
-    if tasks is None:
-        tasks = tuple(sorted({q.qtype for q in questions}, key=lambda t: t.value))
+    tasks = tuple(sorted({q.qtype for q in questions}, key=lambda t: t.value))
     train_combined = reformat_multitask(group_by_image(train_qs), tasks)
     test_combined = reformat_multitask(group_by_image(test_qs), tasks)
     return bundle_from_examples(train_combined, test_combined, features, tasks)
@@ -542,19 +542,18 @@ def sample_config(space, base_cfg, rng):
     return dataclasses.replace(base_cfg, **overrides)
 
 
-def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg,
-                       variant="mtl_simple", holdout_fraction=0.2):
+def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg):
     """Seeded random search ranked by held-out accuracy per distinct question.
 
-    The holdout is split from the bundle's training images, so the test set
-    never influences the choice.  Returns (best TrainConfig, trials log).
+    Every trial trains `mtl_simple`.  The holdout is 20% of the bundle's
+    training images, so the test set never influences the choice.  Returns
+    (best TrainConfig, trials log).
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     examples = bundle.train_combined
-    train_idx, hold_idx = _image_level_split([ex.image_id for ex in examples],
-                                             holdout_fraction,
+    train_idx, hold_idx = _image_level_split([ex.image_id for ex in examples], 0.2,
                                              np.random.default_rng(seed + 1))
     holdout = [examples[i] for i in hold_idx]
     enc_train = bundle.encode_combined([examples[i] for i in train_idx])
@@ -566,7 +565,7 @@ def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg,
     for trial in range(budget):
         cfg = sample_config(space, base_train_cfg, rng)
         emb = random_embeddings(bundle.vocab, model_cfg.embed_dim, seed=seed)
-        model = build_model(variant, model_cfg, emb, seed=seed)
+        model = build_model("mtl_simple", model_cfg, emb, seed=seed)
         model, _ = train(model, enc_train, cfg)
         acc = per_question(evaluate(model, enc_hold), enc_hold, hold_qids).total_accuracy
         acc = -1.0 if acc is None else acc

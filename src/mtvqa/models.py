@@ -26,7 +26,11 @@ from .corpus.qtypes import QuestionType, parse_qtype
 from .errors import ConfigError, FormatError, ShapeError
 from .textenc import EmbeddingTable
 
-VARIANTS = ("mtl_simple", "stl_simple", "vqateam_stl", "vqateam_mtl")
+# variant -> (convolutional question encoder, one head per task); each
+# single-task network is its multi-task twin with one head
+_FAMILY = {"mtl_simple": (True, True), "stl_simple": (True, False),
+           "vqateam_stl": (False, False), "vqateam_mtl": (False, True)}
+VARIANTS = tuple(_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -103,29 +107,19 @@ def _xavier(rng, shape, fan_in, fan_out):
 class Model:
     """Named parameters plus a forward-graph builder for one variant."""
 
-    def __init__(self, variant, config, params, embed_trainable):
+    def __init__(self, variant, config, params):
         self.variant = variant
         self.config = config
         self.params = params
-        self.embed_trainable = embed_trainable
 
     @property
     def n_heads(self):
-        return len(self.config.tasks) if self.variant in ("mtl_simple", "vqateam_mtl") else 1
+        return len(self.head_names)
 
     @property
     def head_names(self):
-        if self.n_heads == 1:
-            return ("single",)
-        return tuple(t.value for t in self.config.tasks)
-
-    def trainable_params(self):
-        out = []
-        for p in self.params.values():
-            if p.name == "embedding" and not self.embed_trainable:
-                continue
-            out.append(p)
-        return out
+        per_task = _FAMILY[self.variant][1]
+        return tuple(t.value for t in self.config.tasks) if per_task else ("single",)
 
     def forward(self, images, ids):
         """images: (batch, feature_dim); ids: (batch, n_heads, max_len).
@@ -140,46 +134,39 @@ class Model:
         if ids.ndim != 3 or ids.shape[1] != self.n_heads or ids.shape[2] != self.config.max_len:
             raise ShapeError(
                 f"forward: ids must be (batch, {self.n_heads}, {self.config.max_len})")
-        if self.variant in ("mtl_simple", "stl_simple"):
-            return self._forward_simple(images, ids)
-        return self._forward_vqateam(images, ids)
+        p = self.params
+        conv = _FAMILY[self.variant][0]
+        encode = self.encode_question_conv if conv else self._question_lstm
+        questions = [encode(ids[:, h, :]) for h in range(self.n_heads)]
+        if conv:
+            img = ad.affine(ad.constant(images), p["img.W"], p["img.b"])
+            x = ad.concat([img] + questions)
+            trunk = ["hidden"]
+        else:
+            v = ad.tanh(ad.affine(ad.constant(images), p["iproj.W"], p["iproj.b"]))
+            products = [ad.mul(q, v) for q in questions]
+            x = products[0] if len(products) == 1 else ad.concat(products)
+            trunk = [f"clf.{i}" for i in range(len(self.config.classifier_dims))]
+        for name in trunk:
+            x = ad.tanh(ad.affine(x, p[f"{name}.W"], p[f"{name}.b"]))
+        return [ad.affine(x, p[f"head.{name}.W"], p[f"head.{name}.b"])
+                for name in self.head_names]
 
     def encode_question_conv(self, ids2d):
-        cfg = self.config
         seq = ad.embedding(self.params["embedding"], ids2d)
         pooled = []
-        for w in cfg.filter_widths:
+        for w in self.config.filter_widths:
             conv = ad.conv1d(seq, self.params[f"conv.shared.w{w}.W"],
                              self.params[f"conv.shared.w{w}.b"])
             pooled.append(ad.max_over_time(ad.tanh(conv)))
         return ad.concat(pooled)
 
-    def _forward_simple(self, images, ids):
-        img = ad.affine(ad.constant(images), self.params["img.W"], self.params["img.b"])
-        feats = [img]
-        for h in range(self.n_heads):
-            feats.append(self.encode_question_conv(ids[:, h, :]))
-        hidden = ad.tanh(ad.affine(ad.concat(feats), self.params["hidden.W"],
-                                   self.params["hidden.b"]))
-        return [ad.affine(hidden, self.params[f"head.{name}.W"], self.params[f"head.{name}.b"])
-                for name in self.head_names]
-
     def _question_lstm(self, ids2d):
-        cfg = self.config
         seq = ad.embedding(self.params["embedding"], ids2d)
         layers = [(self.params[f"lstm.l{li}.Wx"], self.params[f"lstm.l{li}.Wh"],
-                   self.params[f"lstm.l{li}.b"]) for li in range(cfg.lstm_depth)]
+                   self.params[f"lstm.l{li}.b"]) for li in range(self.config.lstm_depth)]
         h_top = ad.lstm_sequence(seq, layers)
         return ad.tanh(ad.affine(h_top, self.params["qproj.W"], self.params["qproj.b"]))
-
-    def _forward_vqateam(self, images, ids):
-        v = ad.tanh(ad.affine(ad.constant(images), self.params["iproj.W"], self.params["iproj.b"]))
-        products = [ad.mul(self._question_lstm(ids[:, h, :]), v) for h in range(self.n_heads)]
-        x = products[0] if len(products) == 1 else ad.concat(products)
-        for i in range(len(self.config.classifier_dims)):
-            x = ad.tanh(ad.affine(x, self.params[f"clf.{i}.W"], self.params[f"clf.{i}.b"]))
-        return [ad.affine(x, self.params[f"head.{name}.W"], self.params[f"head.{name}.b"])
-                for name in self.head_names]
 
     def loss(self, images, ids, targets, mask):
         """Summed masked cross entropy over all heads (no batch averaging)."""
@@ -211,10 +198,11 @@ def build_model(variant, config, embedding, seed=0):
     `embedding` is an EmbeddingTable whose row count matches
     config.vocab_size; its vectors are copied into the model parameters.
     """
-    if variant not in VARIANTS:
+    if variant not in _FAMILY:
         raise ConfigError(f"unknown model variant {variant!r}")
     config.validate()
-    if variant in ("mtl_simple", "vqateam_mtl") and len(config.tasks) < 2:
+    conv, per_task_heads = _FAMILY[variant]
+    if per_task_heads and len(config.tasks) < 2:
         raise ConfigError(f"{variant} needs at least two tasks")
     if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
         raise ShapeError(
@@ -222,7 +210,8 @@ def build_model(variant, config, embedding, seed=0):
             f"({config.vocab_size}, {config.embed_dim})")
 
     rng = np.random.default_rng(seed)
-    params = {}
+    model = Model(variant, config, {})
+    params = model.params
 
     def add_param(name, data):
         params[name] = ad.parameter(data, name)
@@ -235,10 +224,7 @@ def build_model(variant, config, embedding, seed=0):
     params["embedding"] = emb
 
     cfg = config
-    n_heads = len(cfg.tasks) if variant in ("mtl_simple", "vqateam_mtl") else 1
-    head_names = tuple(t.value for t in cfg.tasks) if n_heads > 1 else ("single",)
-
-    if variant in ("mtl_simple", "stl_simple"):
+    if conv:
         add_param("img.W", _xavier(rng, (cfg.feature_dim, cfg.img_compress_dim),
                                    cfg.feature_dim, cfg.img_compress_dim))
         add_param("img.b", np.zeros(cfg.img_compress_dim))
@@ -248,7 +234,7 @@ def build_model(variant, config, embedding, seed=0):
                       _xavier(rng, (w, cfg.embed_dim, cfg.filters_per_width),
                               fan_in, cfg.filters_per_width))
             add_param(f"conv.shared.w{w}.b", np.zeros(cfg.filters_per_width))
-        concat_dim = cfg.img_compress_dim + n_heads * cfg.question_feat_dim
+        concat_dim = cfg.img_compress_dim + model.n_heads * cfg.question_feat_dim
         add_param("hidden.W", _xavier(rng, (concat_dim, cfg.hidden_dim),
                                       concat_dim, cfg.hidden_dim))
         add_param("hidden.b", np.zeros(cfg.hidden_dim))
@@ -269,24 +255,22 @@ def build_model(variant, config, embedding, seed=0):
         add_param("iproj.W", _xavier(rng, (cfg.feature_dim, cfg.common_dim),
                                      cfg.feature_dim, cfg.common_dim))
         add_param("iproj.b", np.zeros(cfg.common_dim))
-        trunk_dim = n_heads * cfg.common_dim
+        trunk_dim = model.n_heads * cfg.common_dim
         for i, width in enumerate(cfg.classifier_dims):
             add_param(f"clf.{i}.W", _xavier(rng, (trunk_dim, width), trunk_dim, width))
             add_param(f"clf.{i}.b", np.zeros(width))
             trunk_dim = width
 
-    for name in head_names:
+    for name in model.head_names:
         add_param(f"head.{name}.W", _xavier(rng, (trunk_dim, cfg.n_answers),
                                             trunk_dim, cfg.n_answers))
         add_param(f"head.{name}.b", np.zeros(cfg.n_answers))
 
-    return Model(variant=variant, config=config, params=params,
-                 embed_trainable=embedding.trainable)
+    return model
 
 
 def save_model(path, model, binary=True, extras=None):
-    meta = {"variant": model.variant, "config": model.config.to_dict(),
-            "embed_trainable": model.embed_trainable, "extras": extras}
+    meta = {"variant": model.variant, "config": model.config.to_dict(), "extras": extras}
     save_checkpoint(path, {n: p.data for n, p in model.params.items()},
                     config=meta, binary=binary)
 
@@ -300,9 +284,12 @@ def load_model_with_extras(path):
     raw, meta = load_checkpoint(path)
     if not meta or "variant" not in meta or "config" not in meta:
         raise FormatError(f"{path}: checkpoint lacks a model config echo")
+    # older checkpoints echo whether the embedding trained; every one does now
+    if not meta.get("embed_trainable", True):
+        raise FormatError(f"{path}: checkpoint has a frozen embedding table; "
+                          "only a trained one can be loaded")
     config = ModelConfig.from_dict(meta["config"])
-    emb = EmbeddingTable(vectors=np.asarray(raw["embedding"], dtype=np.float64),
-                         trainable=meta.get("embed_trainable", True))
+    emb = EmbeddingTable(vectors=np.asarray(raw["embedding"], dtype=np.float64))
     model = build_model(meta["variant"], config, emb, seed=0)
     for name, p in model.params.items():
         if name not in raw:

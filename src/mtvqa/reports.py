@@ -12,10 +12,9 @@ import time
 from decimal import ROUND_HALF_UP, Decimal
 
 
-def round_half_up(x, decimals=1):
-    """Decimal half-up rounding (2.25 -> 2.3 at one decimal)."""
-    q = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_up(x):
+    """Decimal half-up rounding to one decimal (2.25 -> 2.3)."""
+    return float(Decimal(repr(float(x))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def _fmt_raw(v):
@@ -23,7 +22,7 @@ def _fmt_raw(v):
 
 
 def _fmt_rounded(v):
-    return "-" if v is None else f"{round_half_up(v, 1):.1f}"
+    return "-" if v is None else f"{round_half_up(v):.1f}"
 
 
 def experiment_to_csv(report):
@@ -93,8 +92,9 @@ def write_experiment_reports(outdir, report, manifest_extra=None):
 # ---------------------------------------------------------------------------
 # SVG rendering (no plotting dependency; diff-friendly output)
 
-def svg_line_plot(series, path, title="", width=640, height=360, margin=45):
+def svg_line_plot(series, path, title=""):
     """Render named float sequences as polylines with simple axes."""
+    width, height, margin = 640, 360, 45
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
     pts = [v for vals in series.values() for v in vals]
     if not pts:

@@ -34,9 +34,9 @@ class Vocabulary:
 
 @dataclass
 class EmbeddingTable:
-    """vocab_size x embed_dim matrix; row 0 (padding) is all-zero and frozen."""
+    """vocab_size x embed_dim matrix; row 0 (padding) is all-zero and frozen,
+    every other row trains."""
     vectors: np.ndarray
-    trainable: bool = True
 
     @property
     def embed_dim(self):
@@ -59,7 +59,7 @@ def _oov_row(rng, embed_dim):
     return rng.uniform(-half, half, size=embed_dim)
 
 
-def load_embeddings(path, vocab, embed_dim, seed=0, trainable=True):
+def load_embeddings(path, vocab, embed_dim, seed=0):
     """Load pretrained vectors for in-vocabulary tokens from a text file.
 
     File lines are `<token> <v1> ... <v_embed_dim>`.  Tokens missing from
@@ -79,15 +79,15 @@ def load_embeddings(path, vocab, embed_dim, seed=0, trainable=True):
                 raise FormatError(
                     f"{path}:{lineno}: expected {embed_dim} values, found {len(vals)}")
             found[token] = np.array([float(v) for v in vals], dtype=np.float64)
-    return _assemble(vocab, embed_dim, seed, found, trainable)
+    return _assemble(vocab, embed_dim, seed, found)
 
 
-def random_embeddings(vocab, embed_dim, seed=0, trainable=True):
+def random_embeddings(vocab, embed_dim, seed=0):
     """An embedding table with every non-padding row drawn like an OOV row."""
-    return _assemble(vocab, embed_dim, seed, {}, trainable)
+    return _assemble(vocab, embed_dim, seed, {})
 
 
-def _assemble(vocab, embed_dim, seed, found, trainable):
+def _assemble(vocab, embed_dim, seed, found):
     rng = np.random.default_rng(seed)
     table = np.zeros((len(vocab), embed_dim), dtype=np.float64)
     for idx in range(1, len(vocab)):
@@ -96,7 +96,7 @@ def _assemble(vocab, embed_dim, seed, found, trainable):
             table[idx] = found[token]
         else:
             table[idx] = _oov_row(rng, embed_dim)
-    return EmbeddingTable(vectors=table, trainable=trainable)
+    return EmbeddingTable(vectors=table)
 
 
 def encode(tokens, vocab, max_len):

@@ -3,14 +3,21 @@
 import numpy as np
 
 from mtvqa import autodiff as ad
+from mtvqa.autodiff.tensor import _accum, _node
 from mtvqa.corpus import QuestionType
+from mtvqa.errors import ShapeError
 from mtvqa.models import ModelConfig, build_model
 from mtvqa.textenc import EmbeddingTable
 
 
-def _proj(rng, tensor):
-    """Project a tensor to a scalar with a fixed random weighting."""
-    return ad.weighted_sum(tensor, rng.normal(size=tensor.data.shape))
+def weighted_sum(t, weights):
+    """Scalar projection sum(t * weights) for a fixed weight array, the
+    reduction that turns an operator's output into a checkable loss."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != t.data.shape:
+        raise ShapeError(f"weighted_sum: weight shape {weights.shape} != {t.data.shape}")
+    return _node(np.float64((t.data * weights).sum()), (t,), "weighted_sum",
+                 lambda g: _accum(t, weights * g))
 
 
 def _p(rng, shape, name):
@@ -20,52 +27,52 @@ def _p(rng, shape, name):
 def op_case_mul(rng):
     a, b = _p(rng, (2, 3), "a"), _p(rng, (2, 3), "b")
     w = rng.normal(size=(2, 3))
-    return lambda: ad.weighted_sum(ad.mul(a, b), w), [a, b]
+    return lambda: weighted_sum(ad.mul(a, b), w), [a, b]
 
 
 def op_case_scale(rng):
     a = _p(rng, (2, 3), "a")
     c = float(rng.normal())
     w = rng.normal(size=(2, 3))
-    return lambda: ad.weighted_sum(ad.scale(a, c), w), [a]
+    return lambda: weighted_sum(ad.scale(a, c), w), [a]
 
 
 def op_case_tanh(rng):
     a = _p(rng, (2, 4), "a")
     w = rng.normal(size=(2, 4))
-    return lambda: ad.weighted_sum(ad.tanh(a), w), [a]
+    return lambda: weighted_sum(ad.tanh(a), w), [a]
 
 
 def op_case_affine(rng):
     x, m, b = _p(rng, (2, 3), "x"), _p(rng, (3, 4), "m"), _p(rng, (4,), "b")
     w = rng.normal(size=(2, 4))
-    return lambda: ad.weighted_sum(ad.affine(x, m, b), w), [x, m, b]
+    return lambda: weighted_sum(ad.affine(x, m, b), w), [x, m, b]
 
 
 def op_case_conv1d(rng):
     width = int(rng.integers(1, 4))
     x, k, b = _p(rng, (2, 5, 3), "x"), _p(rng, (width, 3, 4), "k"), _p(rng, (4,), "b")
     w = rng.normal(size=(2, 5 - width + 1, 4))
-    return lambda: ad.weighted_sum(ad.conv1d(x, k, b), w), [x, k, b]
+    return lambda: weighted_sum(ad.conv1d(x, k, b), w), [x, k, b]
 
 
 def op_case_max_over_time(rng):
     x = _p(rng, (2, 4, 3), "x")
     w = rng.normal(size=(2, 3))
-    return lambda: ad.weighted_sum(ad.max_over_time(x), w), [x]
+    return lambda: weighted_sum(ad.max_over_time(x), w), [x]
 
 
 def op_case_concat(rng):
     a, b, c = _p(rng, (2, 2), "a"), _p(rng, (2, 3), "b"), _p(rng, (2, 1), "c")
     w = rng.normal(size=(2, 6))
-    return lambda: ad.weighted_sum(ad.concat([a, b, c]), w), [a, b, c]
+    return lambda: weighted_sum(ad.concat([a, b, c]), w), [a, b, c]
 
 
 def op_case_embedding(rng):
     table = _p(rng, (5, 3), "table")
     ids = rng.integers(0, 5, size=(2, 4))
     w = rng.normal(size=(2, 4, 3))
-    return lambda: ad.weighted_sum(ad.embedding(table, ids), w), [table]
+    return lambda: weighted_sum(ad.embedding(table, ids), w), [table]
 
 
 def op_case_softmax_ce(rng):
@@ -91,7 +98,7 @@ def op_case_lstm_sequence(rng):
                 _p(rng, (4 * hidden,), "l1.b"))]
     w = rng.normal(size=(2, hidden))
     params = [x] + [t for layer in layers for t in layer]
-    return lambda: ad.weighted_sum(ad.lstm_sequence(x, layers), w), params
+    return lambda: weighted_sum(ad.lstm_sequence(x, layers), w), params
 
 
 def lstm_reference(x, layers):
@@ -147,7 +154,7 @@ def tiny_model(variant, seed=0, emb_scale=0.1, **overrides):
     rng = np.random.default_rng(seed + 1)
     table = rng.uniform(-emb_scale, emb_scale, size=(cfg.vocab_size, cfg.embed_dim))
     table[0] = 0.0
-    emb = EmbeddingTable(vectors=table, trainable=True)
+    emb = EmbeddingTable(vectors=table)
     return build_model(variant, cfg, emb, seed=seed)
 
 

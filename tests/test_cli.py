@@ -212,3 +212,35 @@ def test_report_writes_accuracy_plot(pipeline_dir, tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "loss.svg").exists()
     assert (tmp_path / "loss_accuracy.svg").exists()
+
+
+def _train_argv(pipeline_dir, tmp_path, *extra):
+    return ["train", "--data", str(pipeline_dir / "data" / "multitask.tsv"),
+            "--features", str(pipeline_dir / "corpus" / "features.feat"),
+            "--out", str(tmp_path / "m.ckpt"), *extra]
+
+
+@pytest.mark.parametrize("case", ["synth_seed", "train_seed", "env_seed", "set_seed",
+                                  "model_set"])
+def test_input_errors_exit_1_with_one_error_line(case, pipeline_dir, tmp_path, capsys,
+                                                 monkeypatch):
+    synth = ["synth", "--images", "4", "--out", str(tmp_path / "c")]
+    argv = {"synth_seed": synth + ["--seed", "-1"],
+            "train_seed": _train_argv(pipeline_dir, tmp_path, "--seed", "-1"),
+            "env_seed": synth,
+            "set_seed": _train_argv(pipeline_dir, tmp_path, "--set", "seed=-1"),
+            "model_set": _train_argv(pipeline_dir, tmp_path,
+                                     "--model-set", "hidden_dim=x")}[case]
+    if case == "env_seed":
+        monkeypatch.setenv("MTVQA_SEED", "abc")
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_bad_env_seed_leaves_seedless_subcommands_alone(pipeline_dir, capsys, monkeypatch):
+    monkeypatch.setenv("MTVQA_SEED", "abc")
+    code, out, _ = run(capsys, "stats", "--data",
+                       str(pipeline_dir / "data" / "multitask.tsv"))
+    assert code == 0 and out.startswith("examples: ")

@@ -7,7 +7,7 @@ import pytest
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError
 
-from helpers import lstm_reference
+from helpers import lstm_reference, weighted_sum
 
 
 def _params(arrs):
@@ -84,7 +84,7 @@ def test_two_step_unroll_gradient_matches_finite_differences():
 
     def fn():
         h = ad.lstm_sequence(x_seq, [(w_in, w_rec, bias)])
-        return ad.weighted_sum(h, w)
+        return weighted_sum(h, w)
 
     report = ad.check_gradients(fn, [w_in, w_rec, bias, x_seq])
     assert report.passed, f"max rel err {report.max_rel_err:.3e}"

@@ -5,7 +5,14 @@ import pytest
 from mtvqa import autodiff as ad
 from mtvqa.corpus import QuestionType
 from mtvqa.errors import ConfigError, FormatError, ShapeError
-from mtvqa.models import ModelConfig, build_model, load_model, multitask_loss, save_model
+from mtvqa.models import (
+    VARIANTS,
+    ModelConfig,
+    build_model,
+    load_model,
+    multitask_loss,
+    save_model,
+)
 from mtvqa.textenc import EmbeddingTable
 
 from helpers import TINY_TASKS, tiny_model, tiny_model_config
@@ -18,22 +25,16 @@ def _batch(model, rng, batch=3):
     return images, ids
 
 
-def test_logit_shapes_four_tasks():
-    model = tiny_model("mtl_simple", n_answers=100)
-    rng = np.random.default_rng(0)
-    images, ids = _batch(model, rng)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_heads_and_logit_shapes(variant):
+    model = tiny_model(variant, n_answers=100)
+    per_task = variant in ("mtl_simple", "vqateam_mtl")
+    assert model.n_heads == (4 if per_task else 1)
+    assert model.head_names == (tuple(t.value for t in TINY_TASKS) if per_task
+                                else ("single",))
+    images, ids = _batch(model, np.random.default_rng(0))
     logits = model.forward(images, ids)
-    assert len(logits) == 4
-    assert all(lg.data.shape == (3, 100) for lg in logits)
-
-
-def test_stl_single_head():
-    model = tiny_model("stl_simple", n_answers=100)
-    rng = np.random.default_rng(0)
-    images, ids = _batch(model, rng)
-    logits = model.forward(images, ids)
-    assert len(logits) == 1
-    assert logits[0].data.shape == (3, 100)
+    assert [lg.data.shape for lg in logits] == [(3, 100)] * model.n_heads
 
 
 def test_forward_is_deterministic():
@@ -229,6 +230,23 @@ def test_load_reads_question_encoder_echo(tmp_path):
         else:
             with pytest.raises(FormatError, match="question encoder"):
                 load_model(path)
+
+
+@pytest.mark.parametrize("trained", [True, False])
+def test_load_reads_embedding_trainable_echo(tmp_path, trained):
+    # checkpoints written while the embedding could be frozen echo
+    # embed_trainable; a trained table loads, a frozen one cannot
+    from mtvqa.autodiff.checkpoint import save_checkpoint
+    model = tiny_model("mtl_simple", seed=5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {n: p.data for n, p in model.params.items()},
+                    config={"variant": "mtl_simple", "config": model.config.to_dict(),
+                            "embed_trainable": trained, "extras": None})
+    if trained:
+        assert load_model(path).config == model.config
+    else:
+        with pytest.raises(FormatError, match="frozen embedding"):
+            load_model(path)
 
 
 def test_load_rejects_config_echo_with_unknown_or_missing_key(tmp_path, capsys):

@@ -16,7 +16,7 @@ from mtvqa.reports import (
     (99.95, 100.0), (8.449999, 8.4),
 ])
 def test_round_half_up(value, expected):
-    assert round_half_up(value, 1) == expected
+    assert round_half_up(value) == expected
 
 
 @pytest.fixture

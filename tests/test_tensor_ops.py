@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError, TrainingError
 
-from helpers import OP_CASES, tiny_model
+from helpers import OP_CASES, tiny_model, weighted_sum
 
 
 def test_affine_identity_passthrough():
@@ -41,7 +41,7 @@ def test_concat_splits_gradient():
     a = ad.parameter(rng.normal(size=(2, 2)), "a")
     b = ad.parameter(rng.normal(size=(2, 3)), "b")
     w = rng.normal(size=(2, 5))
-    out = ad.weighted_sum(ad.concat([a, b]), w)
+    out = weighted_sum(ad.concat([a, b]), w)
     out.backward()
     npt.assert_array_equal(a.grad, w[:, :2])
     npt.assert_array_equal(b.grad, w[:, 2:])
@@ -52,7 +52,7 @@ def test_embedding_rows_and_scatter():
     ids = np.array([[1, 1, 0]])
     out = ad.embedding(table, ids)
     npt.assert_array_equal(out.data[0, 0], table.data[1])
-    loss = ad.weighted_sum(out, np.ones((1, 3, 3)))
+    loss = weighted_sum(out, np.ones((1, 3, 3)))
     loss.backward()
     npt.assert_array_equal(table.grad[1], np.full(3, 2.0))  # id 1 used twice
     npt.assert_array_equal(table.grad[2], np.zeros(3))
@@ -64,7 +64,7 @@ def test_embedding_grad_mask_freezes_row():
     mask[0] = False
     table.grad_mask = mask
     out = ad.embedding(table, np.array([[0, 1]]))
-    ad.weighted_sum(out, np.ones((1, 2, 2))).backward()
+    weighted_sum(out, np.ones((1, 2, 2))).backward()
     npt.assert_array_equal(table.grad[0], np.zeros(2))
     npt.assert_array_equal(table.grad[1], np.full(2, 1.0))
 
@@ -72,13 +72,13 @@ def test_embedding_grad_mask_freezes_row():
 def test_gradient_accumulates_over_reuse():
     x = ad.parameter(np.array([2.0]), "x")
     y = ad.mul(x, x)  # x^2 reaches x twice, dy/dx = 2x = 4
-    ad.weighted_sum(y, np.ones(1)).backward()
+    weighted_sum(y, np.ones(1)).backward()
     npt.assert_array_equal(x.grad, [4.0])
 
 
 def test_second_backward_raises():
     x = ad.parameter(np.array([2.0]), "x")
-    loss = ad.weighted_sum(ad.mul(x, x), np.ones(1))
+    loss = weighted_sum(ad.mul(x, x), np.ones(1))
     loss.backward()
     with pytest.raises(TrainingError, match="already backpropagated"):
         loss.backward()
