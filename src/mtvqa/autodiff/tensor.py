@@ -6,9 +6,10 @@ that contributed to it.  The engine holds exactly the operators that the
 question-answering models and their training run: affine maps, valid 1-d
 convolution over token positions, max-over-time pooling, tanh,
 concatenation along the feature axis, elementwise product, embedding
-lookup, a fused stacked LSTM (in `lstm.py`), a masked softmax cross
-entropy, and scaling by a constant (the training loss's 1/batch factor).
-There is no broadcasting beyond what these operators define internally.
+lookup, placing encoded rows among copies of one padding row (so a
+model encodes only its filled question slots), a fused stacked LSTM (in
+`lstm.py`) and a masked softmax cross entropy.  There is no broadcasting
+beyond what these operators define internally.
 
 Every operator builds its output with `_node`, and no node refers to
 itself, so no graph is a reference cycle: reference counting frees a graph
@@ -54,6 +55,8 @@ class Tensor:
     def backward(self):
         """Backpropagate from this scalar through the whole graph.
 
+        The root's upstream gradient is its `.grad` if the caller set one
+        (training sets the loss's 1/batch factor there), and 1 otherwise.
         A graph can be backpropagated once: each node drops its backward
         rule after running it, and a second call raises `TrainingError`.
         Dropping the rules frees the arrays they saved (convolution
@@ -64,7 +67,8 @@ class Tensor:
         if self._parents and self._backward is None:
             raise TrainingError(f"backward: this {self.op} graph was already backpropagated")
         order = _toposort(self)
-        self.grad = np.ones((), dtype=np.float64)
+        self.grad = np.ones((), dtype=np.float64) if self.grad is None \
+            else np.asarray(self.grad, dtype=np.float64)
         for node in reversed(order):
             rule, node._backward = node._backward, None
             if rule is not None and node.grad is not None:
@@ -139,16 +143,6 @@ def mul(a, b):
         _accum(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), "mul", _bw)
-
-
-def scale(a, c):
-    """Multiply by a python constant (not differentiated through `c`)."""
-    c = float(c)
-
-    def _bw(g):
-        _accum(a, g * c)
-
-    return _node(a.data * c, (a,), "scale", _bw)
 
 
 def tanh(a):
@@ -254,6 +248,34 @@ def concat(tensors):
             off += sz
 
     return _node(np.concatenate([t.data for t in tensors], axis=-1), tensors, "concat", _bw)
+
+
+def place_rows(enc, pad, rows, n):
+    """An (n, d) tensor whose rows `rows` are `enc`, in order, and whose other
+    rows are copies of the (1, d) `pad`.
+
+    `rows` holds distinct row indices; `enc` is (len(rows), d), or None when
+    `rows` is empty.  The backward passes `g[rows]` to `enc` and the sum of
+    the other rows of `g` to `pad`.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    d = pad.data.shape[-1]
+    enc_shape = (0, d) if enc is None else enc.data.shape
+    if pad.data.shape != (1, d) or enc_shape != (rows.size, d):
+        raise ShapeError(f"place_rows: padding row {pad.data.shape} and encoded rows "
+                         f"{enc_shape} do not fit {rows.size} placed rows")
+    empty = np.ones(n, dtype=bool)
+    empty[rows] = False
+    out = np.repeat(pad.data, n, axis=0)
+    if enc is not None:
+        out[rows] = enc.data
+
+    def _bw(g):
+        if enc is not None:
+            _accum(enc, g[rows])
+        _accum(pad, g[empty].sum(axis=0, keepdims=True))
+
+    return _node(out, (pad,) if enc is None else (enc, pad), "place_rows", _bw)
 
 
 def embedding(table, ids):

@@ -194,7 +194,8 @@ def train(model, data, cfg):
                                      data.targets[sel], data.mask[sel])
                 if not np.isfinite(loss.data):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-                ad.scale(loss, 1.0 / len(sel)).backward()
+                loss.grad = np.float64(1.0 / len(sel))
+                loss.backward()
                 optimizer.step()
                 total += float(loss.data)
             train_loss = total / len(order)
@@ -357,12 +358,13 @@ class CorpusBundle:
 
 
 def bundle_from_examples(train_combined, test_combined, features, tasks):
-    """Vocabularies from the training half only; max_len is the longest question, at most 25."""
+    """Vocabularies and max_len from the training half only; max_len is the
+    longest training question, at most 25 (longer test questions are
+    truncated when encoded)."""
     train_tokens = [tokens for ex in train_combined for _, (tokens, _) in ex.slots]
     vocab = build_vocab(train_tokens)
     answer_vocab = build_answer_vocab(answers_of_multitask(train_combined))
-    lengths = [len(t) for ex in train_combined + test_combined for _, (t, _) in ex.slots]
-    max_len = min(25, max(lengths)) if lengths else 25
+    max_len = min(25, max(map(len, train_tokens))) if train_tokens else 25
     return CorpusBundle(tasks=tuple(tasks), train_combined=train_combined,
                         test_combined=test_combined, features=features,
                         vocab=vocab, answer_vocab=answer_vocab, max_len=max_len)

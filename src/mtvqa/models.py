@@ -125,6 +125,8 @@ class Model:
         """images: (batch, feature_dim); ids: (batch, n_heads, max_len).
 
         Returns one logits tensor of shape (batch, n_answers) per head.
+        The question encoder runs only on filled slots; see
+        `encode_questions`.
         """
         images = np.asarray(images, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)
@@ -135,10 +137,8 @@ class Model:
             raise ShapeError(
                 f"forward: ids must be (batch, {self.n_heads}, {self.config.max_len})")
         p = self.params
-        conv = _FAMILY[self.variant][0]
-        encode = self.encode_question_conv if conv else self._question_lstm
-        questions = [encode(ids[:, h, :]) for h in range(self.n_heads)]
-        if conv:
+        questions = self.encode_questions(ids)
+        if _FAMILY[self.variant][0]:
             img = ad.affine(ad.constant(images), p["img.W"], p["img.b"])
             x = ad.concat([img] + questions)
             trunk = ["hidden"]
@@ -151,6 +151,29 @@ class Model:
             x = ad.tanh(ad.affine(x, p[f"{name}.W"], p[f"{name}.b"]))
         return [ad.affine(x, p[f"head.{name}.W"], p[f"head.{name}.b"])
                 for name in self.head_names]
+
+    def encode_questions(self, ids):
+        """One (batch, question width) encoding per head of (batch, n_heads, max_len) ids.
+
+        Each head encodes only its filled rows.  A slot is empty when every
+        id is padding (an all-unknown-word question too, which encodes to
+        the same vector); its row is the encoding of the all-padding
+        question, computed at most once per call and only when some slot
+        is empty.
+        """
+        encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
+        filled = (ids != 0).any(axis=2)
+        pad = None if filled.all() else encode(np.zeros((1, ids.shape[2]), dtype=np.int64))
+        n = len(ids)
+        questions = []
+        for h in range(ids.shape[1]):
+            rows = np.flatnonzero(filled[:, h])
+            if rows.size == n:
+                questions.append(encode(ids[:, h, :]))
+            else:
+                enc = encode(ids[rows, h, :]) if rows.size else None
+                questions.append(ad.place_rows(enc, pad, rows, n))
+        return questions
 
     def encode_question_conv(self, ids2d):
         seq = ad.embedding(self.params["embedding"], ids2d)

@@ -6,7 +6,7 @@ from mtvqa import autodiff as ad
 from mtvqa.autodiff.tensor import _accum, _node
 from mtvqa.corpus import QuestionType
 from mtvqa.errors import ShapeError
-from mtvqa.models import ModelConfig, build_model
+from mtvqa.models import _FAMILY, Model, ModelConfig, build_model
 from mtvqa.textenc import EmbeddingTable
 
 
@@ -30,11 +30,14 @@ def op_case_mul(rng):
     return lambda: weighted_sum(ad.mul(a, b), w), [a, b]
 
 
-def op_case_scale(rng):
-    a = _p(rng, (2, 3), "a")
-    c = float(rng.normal())
-    w = rng.normal(size=(2, 3))
-    return lambda: weighted_sum(ad.scale(a, c), w), [a]
+def op_case_place_rows(rng):
+    n = int(rng.integers(1, 5))
+    rows = np.flatnonzero(rng.integers(0, 2, size=n))
+    pad = _p(rng, (1, 3), "pad")
+    enc = _p(rng, (rows.size, 3), "enc") if rows.size else None
+    w = rng.normal(size=(n, 3))
+    return (lambda: weighted_sum(ad.place_rows(enc, pad, rows, n), w),
+            [pad] + ([enc] if enc is not None else []))
 
 
 def op_case_tanh(rng):
@@ -124,7 +127,7 @@ def lstm_reference(x, layers):
 
 OP_CASES = {
     "mul": op_case_mul,
-    "scale": op_case_scale,
+    "place_rows": op_case_place_rows,
     "tanh": op_case_tanh,
     "affine": op_case_affine,
     "conv1d": op_case_conv1d,
@@ -134,6 +137,19 @@ OP_CASES = {
     "softmax_cross_entropy_masked": op_case_softmax_ce,
     "lstm_sequence": op_case_lstm_sequence,
 }
+
+
+class EveryRowModel(Model):
+    """A model that encodes every question row, empty slots included, as
+    the forward pass did before it skipped empty slots; it shares the
+    parameters of the model it wraps."""
+
+    def __init__(self, model):
+        super().__init__(model.variant, model.config, model.params)
+
+    def encode_questions(self, ids):
+        encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
+        return [encode(ids[:, h, :]) for h in range(ids.shape[1])]
 
 
 TINY_TASKS = (QuestionType.COLOUR, QuestionType.COUNT,

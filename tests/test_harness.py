@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from mtvqa import harness
-from mtvqa.corpus import flatten_single_task, isolate_slots
+from mtvqa.corpus import MultiTaskExample, flatten_single_task, isolate_slots
 from mtvqa.datasets import EncodedDataset
 from mtvqa.errors import ConfigError, TrainingError
 from mtvqa.harness import (
@@ -39,6 +39,16 @@ def small_cfg(bundle):
                                            hidden_dim=16, img_compress_dim=8,
                                            lstm_dim=6, lstm_depth=1, common_dim=6,
                                            classifier_dims=(8,))
+
+
+def test_max_len_comes_from_the_training_half():
+    base = synthetic_bundle(6, 2, seed=1)
+    assert base.max_len == 5
+    long_q = MultiTaskExample("img99999", ((base.tasks[0], (("what",) * 9, "red")),))
+    bundle = harness.bundle_from_examples(base.train_combined,
+                                          base.test_combined + [long_q],
+                                          base.features, base.tasks)
+    assert bundle.max_len == 5
 
 
 def _fresh_model(bundle, cfg, variant="mtl_simple", seed=0):

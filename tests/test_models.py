@@ -6,6 +6,7 @@ from mtvqa import autodiff as ad
 from mtvqa.corpus import QuestionType
 from mtvqa.errors import ConfigError, FormatError, ShapeError
 from mtvqa.models import (
+    _FAMILY,
     VARIANTS,
     ModelConfig,
     build_model,
@@ -15,7 +16,7 @@ from mtvqa.models import (
 )
 from mtvqa.textenc import EmbeddingTable
 
-from helpers import TINY_TASKS, tiny_model, tiny_model_config
+from helpers import TINY_TASKS, EveryRowModel, tiny_model, tiny_model_config
 
 
 def _batch(model, rng, batch=3):
@@ -327,3 +328,81 @@ def test_all_pad_question_embeds_to_exact_zero_sequence():
     seq = adiff.embedding(model.params["embedding"],
                           np.zeros((2, model.config.max_len), dtype=np.int64))
     assert np.all(seq.data == 0.0)
+
+
+def _slot_batch(model, rng, kind):
+    """A batch with filled and empty (all-padding) question slots: "mixed"
+    empties some slots and every slot of head 2, "none_empty" fills every
+    slot, "all_empty" fills none."""
+    cfg = model.config
+    batch = 5
+    images = rng.normal(size=(batch, cfg.feature_dim))
+    ids = rng.integers(1, cfg.vocab_size, size=(batch, model.n_heads, cfg.max_len))
+    ids[:, :, -1] = 0  # trailing padding inside filled questions
+    if kind == "mixed":
+        ids[rng.random((batch, model.n_heads)) < 0.4] = 0
+        ids[:, 2] = 0
+        ids[0, 0, 0] = 1  # head 0 keeps one filled row
+    elif kind == "all_empty":
+        ids[:] = 0
+    targets = rng.integers(0, cfg.n_answers, size=(batch, model.n_heads))
+    mask = rng.random((batch, model.n_heads)) < 0.7
+    return images, ids, targets, mask
+
+
+def _loss_and_grads(model, batch):
+    params = list(model.params.values())
+    ad.zero_grads(params)
+    loss, logits = model.loss(*batch)
+    loss.backward()
+    grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for n, p in model.params.items()}
+    return float(loss.data), np.stack([lg.data for lg in logits]), grads
+
+
+@pytest.mark.parametrize("kind", ["mixed", "none_empty", "all_empty"])
+@pytest.mark.parametrize("variant", ["mtl_simple", "vqateam_mtl"])
+def test_filled_slot_encoding_matches_every_row_reference(variant, kind):
+    model = tiny_model(variant, seed=3, emb_scale=1.0)
+    batch = _slot_batch(model, np.random.default_rng(11), kind)
+    loss, logits, grads = _loss_and_grads(model, batch)
+    ref_loss, ref_logits, ref_grads = _loss_and_grads(EveryRowModel(model), batch)
+    npt.assert_array_equal(logits, ref_logits)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, ref in ref_grads.items():
+        gap = np.abs(grads[name] - ref).max()
+        assert gap <= 1e-12 * np.abs(ref).max(), f"{name}: gradient gap {gap:.2e}"
+
+
+def _count_encoder_rows(model):
+    """Record the row count of every call to the model's per-row encoder."""
+    name = "encode_question_conv" if _FAMILY[model.variant][0] else "_question_lstm"
+    encode = getattr(model, name)
+    calls = []
+
+    def counted(ids2d):
+        calls.append((len(ids2d), bool(np.all(ids2d == 0))))
+        return encode(ids2d)
+
+    setattr(model, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["stl_simple", "vqateam_stl"])
+def test_stl_forward_never_encodes_the_padding_row(variant):
+    model = tiny_model(variant)
+    calls = _count_encoder_rows(model)
+    images, ids = _batch(model, np.random.default_rng(12), batch=4)
+    ids[:, :, 0] = 1  # single questions are never empty
+    model.forward(images, ids)
+    assert calls == [(4, False)]
+
+
+@pytest.mark.parametrize("variant", ["mtl_simple", "vqateam_mtl"])
+def test_padding_row_is_encoded_once_per_forward(variant):
+    model = tiny_model(variant)
+    calls = _count_encoder_rows(model)
+    images, ids, _, _ = _slot_batch(model, np.random.default_rng(13), "mixed")
+    model.forward(images, ids)
+    filled = (ids != 0).any(axis=2).sum(axis=0)
+    assert calls == [(1, True)] + [(int(k), False) for k in filled if k]

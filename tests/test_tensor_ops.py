@@ -36,6 +36,18 @@ def test_max_over_time_constant_sequence():
     npt.assert_array_equal(out.data, np.tile(np.array([2.5, -1.0, 0.0]), (2, 1)))
 
 
+def test_place_rows_fills_the_other_rows_with_the_padding_row():
+    enc = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]), "enc")
+    pad = ad.parameter(np.array([[-1.0, 0.5]]), "pad")
+    out = ad.place_rows(enc, pad, np.array([0, 3]), 4)
+    npt.assert_array_equal(out.data, [[1, 2], [-1, 0.5], [-1, 0.5], [3, 4]])
+    weighted_sum(out, np.arange(8.0).reshape(4, 2)).backward()
+    npt.assert_array_equal(enc.grad, [[0, 1], [6, 7]])
+    npt.assert_array_equal(pad.grad, [[6, 8]])
+    only_pad = ad.place_rows(None, ad.constant(pad.data), np.array([], dtype=np.int64), 2)
+    npt.assert_array_equal(only_pad.data, [[-1, 0.5], [-1, 0.5]])
+
+
 def test_concat_splits_gradient():
     rng = np.random.default_rng(2)
     a = ad.parameter(rng.normal(size=(2, 2)), "a")
@@ -117,6 +129,7 @@ def test_graph_is_freed_without_the_cyclic_collector(variant, backpropagated):
     cfg, rng = model.config, np.random.default_rng(5)
     images = rng.normal(size=(3, cfg.feature_dim))
     ids = rng.integers(1, cfg.vocab_size, size=(3, model.n_heads, cfg.max_len))
+    ids[0, 1] = 0  # one empty slot, so the padding row is placed too
     targets = rng.integers(0, cfg.n_answers, size=(3, model.n_heads))
     mask = np.ones((3, model.n_heads), dtype=bool)
     gc.collect()
