@@ -59,8 +59,9 @@ class Tensor:
         (training sets the loss's 1/batch factor there), and 1 otherwise.
         A graph can be backpropagated once: each node drops its backward
         rule after running it, and a second call raises `TrainingError`.
-        Dropping the rules frees the arrays they saved (convolution
-        windows, LSTM gates) while the caller still holds this tensor.
+        Dropping the rules frees the arrays they saved (the convolution's
+        side-by-side taps, pooling argmaxes, LSTM gates) while the caller
+        still holds this tensor.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward: output must be scalar, got shape {self.data.shape}")
@@ -195,22 +196,25 @@ def conv1d(x, w, b):
     if b.data.shape != (nf,):
         raise ShapeError(f"conv1d: bias shape {b.data.shape} does not match filter count {nf}")
     tp = t - width + 1
-    # (batch, tp, width*channels) windows, then one matmul
-    win = np.stack([x.data[:, i:i + tp, :] for i in range(width)], axis=2)
-    win = win.reshape(bsz, tp, width * ch)
-    wr = w.data.reshape(width * ch, nf)
+    # one GEMM against the taps laid side by side, xw[:, s, i] = x[:, s] @ w[i];
+    # output position p sums tap i at input position p + i
+    x2 = x.data.reshape(bsz * t, ch)
+    wr = w.data.transpose(1, 0, 2).reshape(ch, width * nf)
+    xw = (x2 @ wr).reshape(bsz, t, width, nf)
+    out = xw[:, :tp, 0] + b.data
+    for i in range(1, width):
+        out += xw[:, i:i + tp, i]
 
-    def _bw(g):  # g: (batch, tp, nf)
-        gw = win.reshape(bsz * tp, width * ch).T @ g.reshape(bsz * tp, nf)
-        _accum(w, gw.reshape(width, ch, nf))
-        _accum(b, g.sum(axis=(0, 1)))
-        gwin = (g @ wr.T).reshape(bsz, tp, width, ch)
-        gx = np.zeros_like(x.data)
+    def _bw(g):  # g: (batch, tp, nf), shifted so that gs[:, p + i, i] = g[:, p]
+        gs = np.zeros((bsz, t, width, nf))
         for i in range(width):
-            gx[:, i:i + tp, :] += gwin[:, :, i, :]
-        _accum(x, gx)
+            gs[:, i:i + tp, i] = g
+        gs = gs.reshape(bsz * t, width * nf)
+        _accum(w, (x2.T @ gs).reshape(ch, width, nf).transpose(1, 0, 2))
+        _accum(b, g.sum(axis=(0, 1)))
+        _accum(x, (gs @ wr.T).reshape(bsz, t, ch))
 
-    return _node(win @ wr + b.data, (x, w, b), "conv1d", _bw)
+    return _node(out, (x, w, b), "conv1d", _bw)
 
 
 def max_over_time(x):
@@ -286,9 +290,13 @@ def embedding(table, ids):
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ShapeError("embedding: id out of range for table")
 
-    def _bw(g):
+    def _bw(g):  # sum the rows of g per id: stable sort, then one reduceat
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sid = flat[order]
+        starts = np.flatnonzero(np.diff(sid, prepend=-1))
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        gt[sid[starts]] = np.add.reduceat(g.reshape(-1, gt.shape[1])[order], starts, axis=0)
         _accum(table, gt)
 
     return _node(table.data[ids], (table,), "embedding", _bw)

@@ -20,6 +20,31 @@ def weighted_sum(t, weights):
                  lambda g: _accum(t, weights * g))
 
 
+def conv1d_reference(x, w, b):
+    """Valid 1-d convolution as the engine computed it before `conv1d` ran
+    one GEMM against side-by-side taps: copy the (batch, tp, width*channels)
+    windows, multiply them by the flattened kernel, and scatter the window
+    gradient back tap by tap."""
+    bsz, t, ch = x.data.shape
+    width, _, nf = w.data.shape
+    tp = t - width + 1
+    win = np.stack([x.data[:, i:i + tp, :] for i in range(width)], axis=2)
+    win = win.reshape(bsz, tp, width * ch)
+    wr = w.data.reshape(width * ch, nf)
+
+    def _bw(g):
+        gw = win.reshape(bsz * tp, width * ch).T @ g.reshape(bsz * tp, nf)
+        _accum(w, gw.reshape(width, ch, nf))
+        _accum(b, g.sum(axis=(0, 1)))
+        gwin = (g @ wr.T).reshape(bsz, tp, width, ch)
+        gx = np.zeros_like(x.data)
+        for i in range(width):
+            gx[:, i:i + tp, :] += gwin[:, :, i, :]
+        _accum(x, gx)
+
+    return _node(win @ wr + b.data, (x, w, b), "conv1d_reference", _bw)
+
+
 def _p(rng, shape, name):
     return ad.parameter(rng.normal(size=shape), name)
 

@@ -16,7 +16,7 @@ from mtvqa.models import (
 )
 from mtvqa.textenc import EmbeddingTable
 
-from helpers import TINY_TASKS, EveryRowModel, tiny_model, tiny_model_config
+from helpers import TINY_TASKS, EveryRowModel, tiny_model, tiny_model_config, weighted_sum
 
 
 def _batch(model, rng, batch=3):
@@ -406,3 +406,34 @@ def test_padding_row_is_encoded_once_per_forward(variant):
     model.forward(images, ids)
     filled = (ids != 0).any(axis=2).sum(axis=0)
     assert calls == [(1, True)] + [(int(k), False) for k in filled if k]
+
+
+def test_pooling_before_tanh_matches_tanh_first_on_saturated_batch():
+    model = tiny_model("mtl_simple", seed=4, emb_scale=1.0)
+    p, cfg = model.params, model.config
+    for w in cfg.filter_widths:
+        p[f"conv.shared.w{w}.W"].data *= 40.0  # pre-activations saturate tanh
+    rng = np.random.default_rng(14)
+    ids = rng.integers(0, cfg.vocab_size, size=(16, cfg.max_len))
+    upstream = rng.normal(size=(16, cfg.question_feat_dim))
+
+    def tanh_first(ids2d):
+        seq = ad.embedding(p["embedding"], ids2d)
+        return ad.concat([ad.max_over_time(ad.tanh(ad.conv1d(
+            seq, p[f"conv.shared.w{w}.W"], p[f"conv.shared.w{w}.b"])))
+            for w in cfg.filter_widths])
+
+    results = []
+    for encode in (model.encode_question_conv, tanh_first):
+        ad.zero_grads(p.values())
+        pooled = encode(ids)
+        weighted_sum(pooled, upstream).backward()
+        results.append((pooled.data, {n: t.grad for n, t in p.items() if t.grad is not None}))
+    (out, grads), (ref_out, ref_grads) = results
+    assert np.any(np.abs(out) == 1.0)  # the batch holds saturated maxima
+    npt.assert_array_equal(out, ref_out)
+    # where tanh rounds two maxima to one value, 1 - y**2 is 0 in both orders,
+    # so every gradient agrees, not only those of unsaturated outputs
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        npt.assert_allclose(grads[name], ref, rtol=1e-12, atol=0, err_msg=name)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError, TrainingError
 
-from helpers import OP_CASES, tiny_model, weighted_sum
+from helpers import OP_CASES, conv1d_reference, tiny_model, weighted_sum
 
 
 def test_affine_identity_passthrough():
@@ -28,6 +28,22 @@ def test_conv_width1_is_positionwise_affine():
     for t in range(5):
         expected = x[:, t, :] @ k[0] + b
         npt.assert_allclose(out.data[:, t, :], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_conv1d_matches_the_window_reference(width):
+    # time 6, so width 6 leaves one output position
+    rng = np.random.default_rng(width)
+    x, w, b = rng.normal(size=(3, 6, 4)), rng.normal(size=(width, 4, 5)), rng.normal(size=5)
+    upstream = rng.normal(size=(3, 6 - width + 1, 5))
+    results = []
+    for op in (ad.conv1d, conv1d_reference):
+        params = [ad.parameter(a, n) for a, n in ((x, "x"), (w, "w"), (b, "b"))]
+        out = op(*params)
+        weighted_sum(out, upstream).backward()
+        results.append([out.data] + [p.grad for p in params])
+    for got, want in zip(*results):
+        npt.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_max_over_time_constant_sequence():
@@ -79,6 +95,27 @@ def test_embedding_grad_mask_freezes_row():
     weighted_sum(out, np.ones((1, 2, 2))).backward()
     npt.assert_array_equal(table.grad[0], np.zeros(2))
     npt.assert_array_equal(table.grad[1], np.full(2, 1.0))
+
+
+@pytest.mark.parametrize("ids", [
+    np.array([[3, 1, 3, 3], [1, 4, 4, 3]]),  # repeated ids
+    np.full((3, 4), 2),                       # one id everywhere
+    np.array([[0, 0, 5, 1], [2, 0, 0, 0]]),   # padding id 0 among real ids
+    np.zeros((0, 4), dtype=np.int64),         # no rows
+], ids=["repeated", "one_id", "padding", "empty"])
+def test_embedding_gradient_matches_add_at(ids):
+    rng = np.random.default_rng(ids.size)
+    table = ad.parameter(rng.normal(size=(6, 3)), "table")
+    mask = np.ones((6, 3), dtype=bool)
+    mask[0] = False
+    table.grad_mask = mask
+    upstream = rng.normal(size=ids.shape + (3,))
+    weighted_sum(ad.embedding(table, ids), upstream).backward()
+    want = np.zeros((6, 3))
+    np.add.at(want, ids.reshape(-1), upstream.reshape(-1, 3))
+    want[0] = 0.0
+    npt.assert_allclose(table.grad, want, rtol=1e-13, atol=0)
+    npt.assert_array_equal(table.grad[0], np.zeros(3))
 
 
 def test_gradient_accumulates_over_reuse():
