@@ -45,6 +45,6 @@ for make in (lambda p: ad.Nadam([p], lr=0.05), lambda p: ad.SgdMomentum([p], lr=
     p = ad.parameter(np.array([4.0, -3.0]), "p")
     opt = make(p)
     for step in range(60):
-        p.grad = 2.0 * p.data  # gradient of |p|^2
+        p.grad[...] = 2.0 * p.data  # gradient of |p|^2, into its packed view
         opt.step()
     print(f"  {type(opt).__name__:12s} after 60 steps: {np.round(p.data, 5)}")

@@ -52,12 +52,16 @@ def load_checkpoint(path):
 def _load_binary(path):
     if not zipfile.is_zipfile(path):
         raise FormatError(f"{path}: not a checkpoint archive")
-    with np.load(path) as z:
-        meta = json.loads(str(z["meta"]))
-        if meta.get("version") != 1:
-            raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        params = {n: z[f"arr_{i}"] for i, n in enumerate(meta["names"])}
-        return params, meta.get("config")
+    try:
+        with np.load(path) as z:
+            meta = json.loads(str(z["meta"]))
+            if meta.get("version") != 1:
+                raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+            params = {n: np.asarray(z[f"arr_{i}"], dtype=np.float64)
+                      for i, n in enumerate(meta["names"])}
+    except (KeyError, ValueError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: malformed checkpoint archive ({exc})") from exc
+    return params, meta.get("config")
 
 
 def _load_text(path):
@@ -71,16 +75,17 @@ def _load_text(path):
         raise FormatError(f"{path}: bad checkpoint header") from exc
     if len(lines) < 2 or not lines[1].startswith("config "):
         raise FormatError(f"{path}: missing config line")
-    config = json.loads(lines[1][len("config "):])
     params = {}
-    for ln in lines[2:2 + count]:
-        try:
+    try:  # bad JSON, or a wrong field count, dim or value, or dims the values do not fill
+        config = json.loads(lines[1][len("config "):])
+        for ln in lines[2:2 + count]:
             name, dims, vals = ln.split("\t")
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed parameter line") from exc
-        shape = () if dims == "-" else tuple(int(d) for d in dims.split())
-        flat = np.array([float(v) for v in vals.split()], dtype=np.float64) if vals else np.array([])
-        params[name] = flat.reshape(shape)
+            shape = () if dims == "-" else tuple(int(d) for d in dims.split())
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative dimension in {dims!r}")
+            params[name] = np.array([float(v) for v in vals.split()]).reshape(shape)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
     if len(params) != count:
         raise FormatError(f"{path}: expected {count} parameters, found {len(params)}")
     return params, config

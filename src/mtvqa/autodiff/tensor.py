@@ -118,12 +118,14 @@ def _toposort(root):
 
 
 def _accum(t, g):
-    """Add `g` into `t.grad`, respecting a frozen-coordinate mask."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+    """Add `g` into `t.grad`, respecting a frozen-coordinate mask.  A first
+    gradient is the new array `g + 0.0`, where -0.0 reads +0.0 as in zeros + g."""
     if t.grad_mask is not None:
         g = np.where(t.grad_mask, g, 0.0)
-    t.grad += g
+    if t.grad is None:
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def zero_grads(tensors):
@@ -221,17 +223,14 @@ def max_over_time(x):
     """Max over the time axis of a (batch, time, channels) tensor."""
     if x.data.ndim != 3:
         raise ShapeError(f"max_over_time: expected 3-d input, got {x.data.shape}")
-    idx = np.argmax(x.data, axis=1)  # (batch, channels), first max on ties
-    bsz, _, ch = x.data.shape
-    bi = np.arange(bsz)[:, None]
-    ci = np.arange(ch)[None, :]
 
-    def _bw(g):
+    def _bw(g):  # the gradient goes to the first maximum on ties
+        bsz, _, ch = x.data.shape
         gx = np.zeros_like(x.data)
-        gx[bi, idx, ci] = g
+        gx[np.arange(bsz)[:, None], np.argmax(x.data, axis=1), np.arange(ch)] = g
         _accum(x, gx)
 
-    return _node(x.data[bi, idx, ci], (x,), "max_over_time", _bw)
+    return _node(x.data.max(axis=1), (x,), "max_over_time", _bw)
 
 
 def concat(tensors):

@@ -72,50 +72,50 @@ class EncodedDataset:
                               tasks=self.tasks)
 
 
+def _encode(examples, n_heads, slots_of, tasks, vocab, answer_vocab, max_len, features):
+    """The dense layout of `examples`, whose slots `slots_of(example)` lists
+    as (head, type index, tokens, answer)."""
+    n = len(examples)
+    ids = np.zeros((n, n_heads, max_len), dtype=np.int64)
+    targets = np.full((n, n_heads), -1, dtype=np.int64)
+    mask = np.zeros((n, n_heads), dtype=bool)
+    qtypes = np.full((n, n_heads), -1, dtype=np.int64)
+    images = np.zeros((n, features.feature_dim), dtype=np.float64)
+    features.require([ex.image_id for ex in examples])
+    codes = {}  # token tuple -> ids: the combined format repeats each question
+    for i, ex in enumerate(examples):
+        images[i] = features.get(ex.image_id)
+        for k, t, tokens, answer in slots_of(ex):
+            key = tuple(tokens)
+            if key not in codes:
+                codes[key] = encode(tokens, vocab, max_len)
+            ids[i, k] = codes[key]
+            targets[i, k] = answer_vocab.id_of(answer)
+            mask[i, k] = True
+            qtypes[i, k] = t
+    return EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes, images=images,
+                          image_ids=tuple(ex.image_id for ex in examples), tasks=tasks)
+
+
 def encode_multitask(examples, tasks, vocab, answer_vocab, max_len, features):
     """One head per task; padded slots get all-padding ids and mask False."""
     tasks = tuple(tasks)
-    n, h = len(examples), len(tasks)
-    ids = np.zeros((n, h, max_len), dtype=np.int64)
-    targets = np.full((n, h), -1, dtype=np.int64)
-    mask = np.zeros((n, h), dtype=bool)
-    qtypes = np.full((n, h), -1, dtype=np.int64)
-    images = np.zeros((n, features.feature_dim), dtype=np.float64)
-    image_ids = []
-    features.require([ex.image_id for ex in examples])
-    for i, ex in enumerate(examples):
-        images[i] = features.get(ex.image_id)
-        image_ids.append(ex.image_id)
-        for qtype, (tokens, answer) in ex.slots:
-            if qtype not in tasks:
-                continue
-            k = tasks.index(qtype)
-            ids[i, k] = encode(tokens, vocab, max_len)
-            targets[i, k] = answer_vocab.id_of(answer)
-            mask[i, k] = True
-            qtypes[i, k] = k
-    return EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes,
-                          images=images, image_ids=tuple(image_ids), tasks=tasks)
+
+    def slots_of(ex):
+        return [(tasks.index(q), tasks.index(q), tokens, answer)
+                for q, (tokens, answer) in ex.slots if q in tasks]
+
+    return _encode(examples, len(tasks), slots_of, tasks, vocab, answer_vocab, max_len,
+                   features)
 
 
 def encode_single(singles, tasks, vocab, answer_vocab, max_len, features):
     """One head total; the slot's question type varies per example."""
     tasks = tuple(tasks)
-    n = len(singles)
-    ids = np.zeros((n, 1, max_len), dtype=np.int64)
-    targets = np.full((n, 1), -1, dtype=np.int64)
-    mask = np.ones((n, 1), dtype=bool)
-    qtypes = np.full((n, 1), -1, dtype=np.int64)
-    images = np.zeros((n, features.feature_dim), dtype=np.float64)
-    image_ids = []
-    features.require([s.image_id for s in singles])
-    for i, s in enumerate(singles):
+
+    def slots_of(s):
         if s.qtype not in tasks:
             raise ConfigError(f"question type {s.qtype} not in task set {tasks}")
-        images[i] = features.get(s.image_id)
-        image_ids.append(s.image_id)
-        ids[i, 0] = encode(s.tokens, vocab, max_len)
-        targets[i, 0] = answer_vocab.id_of(s.answer)
-        qtypes[i, 0] = tasks.index(s.qtype)
-    return EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes,
-                          images=images, image_ids=tuple(image_ids), tasks=tasks)
+        return [(0, tasks.index(s.qtype), s.tokens, s.answer)]
+
+    return _encode(singles, 1, slots_of, tasks, vocab, answer_vocab, max_len, features)

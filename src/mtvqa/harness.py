@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff.optim import Nadam, SgdMomentum
 from .corpus.reformat import (
     flatten_single_task,
@@ -107,15 +106,6 @@ def _image_level_split(image_ids, val_fraction, rng):
     return np.nonzero(~flags)[0], np.nonzero(flags)[0]
 
 
-def _snapshot(model):
-    return {n: p.data.copy() for n, p in model.params.items()}
-
-
-def _restore(model, snap):
-    for n, p in model.params.items():
-        p.data[...] = snap[n]
-
-
 def _infer(model, data, indices, batch_size, with_loss=False, with_logits=False):
     """One `model.forward` per batch of the `indices` rows of `data`.
 
@@ -171,7 +161,7 @@ def train(model, data, cfg):
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _image_level_split(data.image_ids, cfg.val_fraction, rng)
     params = list(model.params.values())
-    best = _snapshot(model)
+    best = None  # the best epoch's parameter vector
     best_val = np.inf
     best_epoch = None
     epoch = 0
@@ -189,7 +179,7 @@ def train(model, data, cfg):
             total = 0.0
             for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
                 sel = order[lo:lo + cfg.batch_size]
-                ad.zero_grads(params)
+                optimizer.grad.fill(0.0)
                 loss, _ = model.loss(data.images[sel], data.ids[sel],
                                      data.targets[sel], data.mask[sel])
                 if not np.isfinite(loss.data):
@@ -209,7 +199,7 @@ def train(model, data, cfg):
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
-                best = _snapshot(model)
+                best = optimizer.data.copy()
             if val_loss < phase_best - cfg.min_delta:
                 phase_best = val_loss
                 phase_best_epoch = epoch
@@ -219,18 +209,16 @@ def train(model, data, cfg):
                 if bad >= cfg.patience:
                     break
         history.convergence_epoch[phase] = phase_best_epoch
+        if cfg.keep == "best":  # both optimizers pack `params` in one order
+            optimizer.data[...] = best
 
     run_phase("nadam", Nadam(params, lr=cfg.nadam_lr, beta1=cfg.nadam_beta1,
                              beta2=cfg.nadam_beta2, eps=cfg.nadam_eps),
               cfg.max_epochs_nadam)
-    if cfg.keep == "best":
-        _restore(model, best)
     if cfg.max_epochs_sgd > 0:
         history.phase_transition_epoch = epoch + 1
         run_phase("sgd", SgdMomentum(params, lr=cfg.sgd_lr, momentum=cfg.sgd_momentum),
                   cfg.max_epochs_sgd)
-        if cfg.keep == "best":
-            _restore(model, best)
     history.best_epoch = best_epoch
     history.best_val_loss = None if best_epoch is None else float(best_val)
     return model, history

@@ -45,6 +45,65 @@ def conv1d_reference(x, w, b):
     return _node(win @ wr + b.data, (x, w, b), "conv1d_reference", _bw)
 
 
+def max_over_time_reference(x):
+    """Max over time as the engine computed it before the forward took
+    `max`: gather at the argmax (first maximum on ties) and scatter back."""
+    idx = np.argmax(x.data, axis=1)
+    bsz, _, ch = x.data.shape
+    bi = np.arange(bsz)[:, None]
+    ci = np.arange(ch)[None, :]
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        gx[bi, idx, ci] = g
+        _accum(x, gx)
+
+    return _node(x.data[bi, idx, ci], (x,), "max_over_time_reference", _bw)
+
+
+class NadamReference:
+    """Nadam as a loop over the parameters, one tensor at a time, as the
+    optimizers stepped before they packed their parameters into one vector.
+    A missing gradient counts as zero."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_bar = b1 * (m / bc1) + (1.0 - b1) * g / bc1
+            p.data -= self.lr * m_bar / (np.sqrt(v / bc2) + self.eps)
+
+
+class SgdMomentumReference:
+    """SGD with momentum as a per-parameter loop (see `NadamReference`)."""
+
+    def __init__(self, params, lr=1e-4, momentum=0.9):
+        self.params = list(params)
+        self.lr, self.momentum = lr, momentum
+        self.vel = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        for p, v in zip(self.params, self.vel):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            v *= self.momentum
+            v -= self.lr * g
+            p.data += v
+
+
 def _p(rng, shape, name):
     return ad.parameter(rng.normal(size=shape), name)
 

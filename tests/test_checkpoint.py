@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -47,4 +50,44 @@ def test_truncated_text_checkpoint(tmp_path, params):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+
+# case -> (line, tab-separated field, edit of that field) on the saved text
+TEXT_EDITS = {
+    "value_short": (2, 2, lambda vals: vals.rsplit(" ", 1)[0]),
+    "value_not_float": (3, 2, lambda vals: "abc " + vals.split(" ", 1)[1]),
+    "dims_not_int": (2, 1, lambda dims: "3 four"),
+    "dims_negative": (2, 1, lambda dims: "-1 4"),
+    "config_not_json": (1, 0, lambda line: "config {not json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_EDITS))
+def test_malformed_text_checkpoint_raises_format_error(case, tmp_path, params):
+    row, field, edit = TEXT_EDITS[case]
+    path = tmp_path / "model.txt"
+    save_checkpoint(path, params, config={"note": "x"}, binary=False)
+    lines = path.read_text().splitlines()
+    fields = lines[row].split("\t")
+    fields[field] = edit(fields[field])
+    lines[row] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", ["meta_not_json", "member_missing", "truncated"])
+def test_malformed_binary_checkpoint_raises_format_error(case, tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    if case == "truncated":
+        save_checkpoint(path, params)
+        path.write_bytes(path.read_bytes()[:200])
+    else:  # the meta is bad JSON, or it names two arrays and the archive holds one
+        meta = json.dumps({"version": 1, "names": ["a", "b"], "config": None})
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array("{not json" if case == "meta_not_json" else meta),
+                     arr_0=np.zeros(2))
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         load_checkpoint(path)

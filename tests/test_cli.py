@@ -103,6 +103,16 @@ def test_eval_rejects_wrong_format(pipeline_dir, capsys, tmp_path):
     assert "multitask" in err
 
 
+def test_malformed_checkpoint_exits_1_with_one_error_line(pipeline_dir, capsys, tmp_path):
+    ckpt = tmp_path / "model.txt"
+    ckpt.write_text('mtvqa-ckpt v1 text 1\nconfig {"variant": \nlayer.b\t2\t0.5 abc\n')
+    code, _, err = run(capsys, "eval", "--model", str(ckpt),
+                       "--data", str(pipeline_dir / "data" / "multitask.tsv"),
+                       "--features", str(pipeline_dir / "corpus" / "features.feat"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def _experiment_args(outdir, seed="5"):
     return ["experiment", "--kind", "mtl_vs_stl", "--out", str(outdir),
             "--seeds", "1", "--seed", seed,

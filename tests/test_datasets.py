@@ -12,7 +12,7 @@ from mtvqa.corpus import (
 )
 from mtvqa.datasets import build_answer_vocab, encode_multitask, encode_single
 from mtvqa.errors import FormatError
-from mtvqa.textenc import build_vocab
+from mtvqa.textenc import build_vocab, encode
 
 C, N = QuestionType.COLOUR, QuestionType.COUNT
 TASKS = (C, N)
@@ -51,6 +51,30 @@ def test_encode_multitask_padded_slots(setup):
     assert enc.targets[0, 1] == -1
     assert enc.qtypes[0, 1] == -1
     npt.assert_array_equal(enc.ids[0, 1], np.zeros(4))
+
+
+def test_each_row_holds_its_own_questions_encoding():
+    qs = [LabeledQuestion("a", ("what", "colour", "is", "the", "cup"), "red", C),
+          LabeledQuestion("a", ("what", "colour", "is", "the", "mat"), "blue", C),
+          LabeledQuestion("a", ("how", "many"), "2", N),
+          LabeledQuestion("a", ("how", "many", "zebras"), "4", N),
+          LabeledQuestion("b", ("what", "colour", "is", "the", "cup"), "red", C),
+          LabeledQuestion("b", ("how", "many", "zebras"), "0", N)]
+    vocab = build_vocab([q.tokens for q in qs[:3]])  # "zebras" is unknown
+    avocab = build_answer_vocab(q.answer for q in qs)
+    features = FeatureStore(vectors={"a": np.zeros(2), "b": np.ones(2)}, feature_dim=2)
+    combined = reformat_multitask(group_by_image(qs), TASKS)
+    assert len(combined) == 5  # image a repeats each of its questions twice
+    max_len = 4  # truncates the five-token questions
+    enc = encode_multitask(combined, TASKS, vocab, avocab, max_len, features)
+    for i, ex in enumerate(combined):
+        for qtype, (tokens, _) in ex.slots:
+            npt.assert_array_equal(enc.ids[i, TASKS.index(qtype)],
+                                   encode(tokens, vocab, max_len))
+    singles = flatten_single_task(combined)
+    enc = encode_single(singles, TASKS, vocab, avocab, max_len, features)
+    for i, s in enumerate(singles):
+        npt.assert_array_equal(enc.ids[i, 0], encode(s.tokens, vocab, max_len))
 
 
 def test_encode_single_types_vary(setup):

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError, TrainingError
 
-from helpers import OP_CASES, conv1d_reference, tiny_model, weighted_sum
+from helpers import (OP_CASES, conv1d_reference, max_over_time_reference, tiny_model,
+                     weighted_sum)
 
 
 def test_affine_identity_passthrough():
@@ -50,6 +51,24 @@ def test_max_over_time_constant_sequence():
     x = np.tile(np.array([2.5, -1.0, 0.0]), (2, 4, 1))
     out = ad.max_over_time(ad.constant(x))
     npt.assert_array_equal(out.data, np.tile(np.array([2.5, -1.0, 0.0]), (2, 1)))
+
+
+def test_max_over_time_matches_the_gather_reference_on_ties():
+    rng = np.random.default_rng(5)
+    # the all-padding question's convolution is its bias at every step
+    pad_conv = ad.conv1d(ad.constant(np.zeros((2, 5, 3))),
+                         ad.constant(rng.normal(size=(2, 3, 4))), ad.constant(rng.normal(size=4)))
+    small_ints = rng.integers(-2, 3, size=(3, 4, 4)).astype(np.float64)
+    x = np.concatenate([pad_conv.data, small_ints])
+    assert np.all(x[:2] == x[:2, :1])
+    upstream = rng.normal(size=(5, 4))
+    results = []
+    for op in (ad.max_over_time, max_over_time_reference):
+        t = ad.parameter(x, "x")
+        out = op(t)
+        weighted_sum(out, upstream).backward()
+        results.append((out.data.tobytes(), t.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 def test_place_rows_fills_the_other_rows_with_the_padding_row():
