@@ -48,8 +48,8 @@ print(f"  isolated slots:    {len(isolated)}")
 example = max(combined, key=lambda ex: len(ex.slots))
 print(f"\n  one combined example for {example.image_id} "
       f"(mask {example.mask(tasks)}):")
-for qtype, (tokens, answer) in example.slots:
-    print(f"    [{qtype.value:8s}] {' '.join(tokens):38s} -> {answer}")
+for q in example.slots:
+    print(f"    [{q.qtype.value:8s}] {' '.join(q.tokens):38s} -> {q.answer}")
 
 print("\n== statistics ==")
 for line in corpus_stats(combined).lines():

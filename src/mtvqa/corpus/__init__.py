@@ -11,7 +11,7 @@ from .qtypes import (
     load_keyword_config,
     parse_qtype,
 )
-from .types import ImageGroup, LabeledQuestion, MultiTaskExample, RawQuestion, SingleTaskExample
+from .types import ImageGroup, LabeledQuestion, MultiTaskExample, RawQuestion
 from .parsing import parse_cocoqa, parse_daquar, tokenize
 from .reformat import (
     CorpusStats,
@@ -29,7 +29,7 @@ __all__ = [
     "ALL_TYPES", "COCOQA_TASKS", "DAQUAR_TASKS", "KeywordConfig", "QuestionType",
     "audit_sample", "classify_question", "default_keyword_config", "label_corpus",
     "load_keyword_config", "parse_qtype", "ImageGroup", "LabeledQuestion",
-    "MultiTaskExample", "RawQuestion", "SingleTaskExample", "parse_cocoqa",
+    "MultiTaskExample", "RawQuestion", "parse_cocoqa",
     "parse_daquar", "tokenize", "CorpusStats", "corpus_stats",
     "flatten_single_task", "group_by_image", "isolate_slots", "reformat_multitask",
     "SyntheticSceneConfig", "gen_synthetic_corpus", "FeatureStore",

@@ -60,16 +60,19 @@ def load_features(path):
 def _load_binary(path):
     if not zipfile.is_zipfile(path):
         raise FormatError(f"{path}: not a feature archive")
-    with np.load(path) as z:
-        if str(z["magic"]) != _MAGIC:
-            raise FormatError(f"{path}: missing feature header")
-        dim = int(z["dim"])
-        ids = [str(i) for i in z["ids"]]
-        mat = z["matrix"]
-        if mat.shape != (len(ids), dim):
-            raise FormatError(f"{path}: matrix shape {mat.shape} inconsistent with header")
-        return FeatureStore(vectors={i: mat[k].astype(np.float64) for k, i in enumerate(ids)},
-                            feature_dim=dim)
+    try:  # a missing member, or one numpy cannot read or convert
+        with np.load(path) as z:
+            if str(z["magic"]) != _MAGIC:
+                raise FormatError(f"{path}: missing feature header")
+            dim = int(z["dim"])
+            ids = [str(i) for i in z["ids"]]
+            mat = z["matrix"]
+    except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: malformed feature archive ({exc})") from exc
+    if mat.shape != (len(ids), dim):
+        raise FormatError(f"{path}: matrix shape {mat.shape} inconsistent with header")
+    return FeatureStore(vectors={i: mat[k].astype(np.float64) for k, i in enumerate(ids)},
+                        feature_dim=dim)
 
 
 def _load_text(path):
@@ -90,5 +93,8 @@ def _load_text(path):
         if len(vals) != dim:
             raise FormatError(
                 f"{path}:{lineno}: record {image_id!r} has {len(vals)} values, expected {dim}")
-        vectors[image_id] = np.array([float(v) for v in vals], dtype=np.float64)
+        try:
+            vectors[image_id] = np.array([float(v) for v in vals], dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: record {image_id!r}: {exc}") from exc
     return FeatureStore(vectors=vectors, feature_dim=dim)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import FormatError
 from .qtypes import parse_qtype
-from .types import LabeledQuestion, MultiTaskExample, SingleTaskExample
+from .types import LabeledQuestion, MultiTaskExample
 
 _LABELED_MAGIC = "mtvqa-labeled v1"
 _MULTI_MAGIC = "mtvqa-multitask v1"
@@ -21,7 +21,7 @@ def write_labeled(path, questions):
 
 
 def read_labeled(path):
-    return _read_records(path, _LABELED_MAGIC, LabeledQuestion)
+    return _read_records(path, _LABELED_MAGIC)
 
 
 def write_single(path, singles):
@@ -29,7 +29,7 @@ def write_single(path, singles):
 
 
 def read_single(path):
-    return _read_records(path, _SINGLE_MAGIC, SingleTaskExample)
+    return _read_records(path, _SINGLE_MAGIC)
 
 
 def _write_records(path, magic, records):
@@ -40,7 +40,7 @@ def _write_records(path, magic, records):
             fh.write(f"{r.image_id}\t{r.qtype.value}\t{r.answer}\t{' '.join(r.tokens)}\n")
 
 
-def _read_records(path, magic, record):
+def _read_records(path, magic):
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0] != magic:
@@ -53,8 +53,8 @@ def _read_records(path, magic, record):
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 4 fields, found {len(parts)}")
         image_id, qtype, answer, tokens = parts
-        out.append(record(image_id=image_id, qtype=parse_qtype(qtype),
-                          tokens=tuple(tokens.split()), answer=answer))
+        out.append(LabeledQuestion(image_id=image_id, qtype=parse_qtype(qtype),
+                                   tokens=tuple(tokens.split()), answer=answer))
     return out
 
 
@@ -70,12 +70,8 @@ def write_multitask(path, examples, tasks):
         for ex in examples:
             fields = [ex.image_id]
             for t in tasks:
-                payload = ex.slot(t)
-                if payload is None:
-                    fields.extend(["", ""])
-                else:
-                    tokens, answer = payload
-                    fields.extend([" ".join(tokens), answer])
+                q = ex.slot(t)
+                fields.extend(["", ""] if q is None else [" ".join(q.tokens), q.answer])
             fh.write("\t".join(fields) + "\n")
 
 
@@ -95,12 +91,10 @@ def read_multitask(path):
             raise FormatError(
                 f"{path}:{lineno}: expected {1 + 2 * len(tasks)} fields, found {len(parts)}")
         image_id = parts[0]
-        slots = []
-        for k, t in enumerate(tasks):
-            tokens, answer = parts[1 + 2 * k], parts[2 + 2 * k]
-            if tokens:
-                slots.append((t, (tuple(tokens.split()), answer)))
-        examples.append(MultiTaskExample(image_id=image_id, slots=tuple(slots)))
+        slots = tuple(LabeledQuestion(image_id, tuple(tokens.split()), answer, t)
+                      for t, tokens, answer in zip(tasks, parts[1::2], parts[2::2])
+                      if tokens)
+        examples.append(MultiTaskExample(image_id=image_id, slots=slots))
     return examples, tasks
 
 

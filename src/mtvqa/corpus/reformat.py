@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .types import ImageGroup, MultiTaskExample, SingleTaskExample
+from .types import ImageGroup, MultiTaskExample
 
 
 def group_by_image(questions):
@@ -33,31 +33,23 @@ def reformat_multitask(groups, tasks):
         present = grp.present_types(tasks)
         if len(present) < 2:
             continue
-        pools = [grp.by_type[t] for t in present]
-        for combo in itertools.product(*pools):
-            slots = tuple((t, (q.tokens, q.answer)) for t, q in zip(present, combo))
-            examples.append(MultiTaskExample(image_id=grp.image_id, slots=slots))
+        for combo in itertools.product(*(grp.by_type[t] for t in present)):
+            examples.append(MultiTaskExample(image_id=grp.image_id, slots=combo))
     return examples
 
 
 def flatten_single_task(examples):
-    """The deduplicated union of filled slots as single-task examples."""
-    seen = {}
-    for ex in examples:
-        for qtype, (tokens, answer) in ex.slots:
-            key = (ex.image_id, qtype, tokens, answer)
-            if key not in seen:
-                seen[key] = SingleTaskExample(image_id=ex.image_id, qtype=qtype,
-                                              tokens=tokens, answer=answer)
-    return list(seen.values())
+    """The distinct filled slots, in first-seen order: each one is a
+    single-task example."""
+    return list(dict.fromkeys(q for ex in examples for q in ex.slots))
 
 
 def isolate_slots(examples):
     """One copy per filled slot, with every other slot padded."""
     out = []
     for ex in examples:
-        for slot in ex.slots:
-            out.append(MultiTaskExample(image_id=ex.image_id, slots=(slot,)))
+        for q in ex.slots:
+            out.append(MultiTaskExample(image_id=ex.image_id, slots=(q,)))
     return out
 
 
@@ -83,9 +75,9 @@ def corpus_stats(examples):
     per_type = {}
     for ex in examples:
         images.add(ex.image_id)
-        for qtype, (_, answer) in ex.slots:
-            per_type[qtype] = per_type.get(qtype, 0) + 1
-            answers.add(answer)
+        for q in ex.slots:
+            per_type[q.qtype] = per_type.get(q.qtype, 0) + 1
+            answers.add(q.answer)
     per_type = {t: per_type[t] for t in sorted(per_type, key=lambda q: q.value)}
     return CorpusStats(n_examples=len(examples), n_images=len(images),
                        slots_per_type=per_type, answer_vocab_size=len(answers))

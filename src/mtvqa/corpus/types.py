@@ -34,31 +34,21 @@ class ImageGroup:
 
 @dataclass(frozen=True)
 class MultiTaskExample:
-    """One image with up to one (question, answer) slot per task type.
+    """One image with up to one labeled question per task type.
 
-    `slots` maps a QuestionType to a (tokens, answer) pair; a type without
-    an entry is a padded slot.  The mask is slot presence.
+    `slots` holds the image's LabeledQuestion records in task order, at
+    most one per type; a type without one is a padded slot.  The mask is
+    slot presence.
     """
     image_id: str
-    slots: tuple  # ordered ((qtype, (tokens, answer)), ...)
+    slots: tuple
 
     def slot(self, qtype):
-        for t, payload in self.slots:
-            if t is qtype:
-                return payload
+        for q in self.slots:
+            if q.qtype is qtype:
+                return q
         return None
 
-    def filled_types(self):
-        return tuple(t for t, _ in self.slots)
-
     def mask(self, tasks):
-        filled = set(self.filled_types())
+        filled = {q.qtype for q in self.slots}
         return tuple(t in filled for t in tasks)
-
-
-@dataclass(frozen=True)
-class SingleTaskExample:
-    image_id: str
-    qtype: QuestionType
-    tokens: tuple
-    answer: str

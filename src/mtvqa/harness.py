@@ -16,12 +16,7 @@ from .corpus.reformat import (
     reformat_multitask,
 )
 from .corpus.synthetic import SyntheticSceneConfig, gen_synthetic_corpus
-from .datasets import (
-    answers_of_multitask,
-    build_answer_vocab,
-    encode_multitask,
-    encode_single,
-)
+from .datasets import build_answer_vocab, encode_multitask, encode_single
 from .errors import ConfigError, TrainingError
 from .models import ModelConfig, build_model, multitask_loss
 from .textenc import build_vocab, random_embeddings
@@ -281,35 +276,12 @@ def evaluate(model, data):
     return EvalReport(tasks=data.tasks, correct=correct, counts=counts, hits=hits)
 
 
-def question_ids(examples, tasks):
-    """(rows, heads) index of the distinct question in each slot, -1 on
-    padded slots, in the layout `encode_multitask` gives `examples`.
-
-    A question is keyed by (image_id, qtype, tokens, answer), the key
-    `flatten_single_task` uses, and numbered in first-seen order, so index
-    q is the q-th example `flatten_single_task(examples)` returns.
-    """
-    tasks = tuple(tasks)
-    index = {}
-    ids = np.full((len(examples), len(tasks)), -1, dtype=np.int64)
-    for i, ex in enumerate(examples):
-        for qtype, (tokens, answer) in ex.slots:
-            if qtype in tasks:
-                key = (ex.image_id, qtype, tokens, answer)
-                ids[i, tasks.index(qtype)] = index.setdefault(key, len(index))
-    return ids
-
-
-def per_question(report, data, qids):
+def per_question(report, data):
     """`report`, from `evaluate(model, data)`, rescored so that every
-    distinct question counts once, at the mean of its correctness over the
-    slots it fills.
-
-    `qids` is (rows, heads) like `data.mask`: each unmasked slot's question
-    index, from `question_ids` for a combined-format set or the row number
-    for a set of distinct single questions.
+    distinct question (`data.qids`) counts once, at the mean of its
+    correctness over the slots it fills.
     """
-    q = qids[data.mask]
+    q = data.qids[data.mask]
     n = int(q.max()) + 1 if q.size else 0
     score = (np.bincount(q, weights=report.hits[data.mask], minlength=n)
              / np.bincount(q, minlength=n))
@@ -349,9 +321,9 @@ def bundle_from_examples(train_combined, test_combined, features, tasks):
     """Vocabularies and max_len from the training half only; max_len is the
     longest training question, at most 25 (longer test questions are
     truncated when encoded)."""
-    train_tokens = [tokens for ex in train_combined for _, (tokens, _) in ex.slots]
+    train_tokens = [q.tokens for ex in train_combined for q in ex.slots]
     vocab = build_vocab(train_tokens)
-    answer_vocab = build_answer_vocab(answers_of_multitask(train_combined))
+    answer_vocab = build_answer_vocab(q.answer for ex in train_combined for q in ex.slots)
     max_len = min(25, max(map(len, train_tokens))) if train_tokens else 25
     return CorpusBundle(tasks=tuple(tasks), train_combined=train_combined,
                         test_combined=test_combined, features=features,
@@ -422,12 +394,12 @@ def _difference_row(label, row_a, row_b):
 
 
 def _train_eval(variant, bundle, model_cfg, train_cfg, seed, enc_train, tests):
-    """Train one model and score it per question on each (encoded, qids) test."""
+    """Train one model and score it per question on each encoded test set."""
     emb = random_embeddings(bundle.vocab, model_cfg.embed_dim, seed=seed)
     model = build_model(variant, model_cfg, emb, seed=seed)
     cfg = dataclasses.replace(train_cfg, seed=seed)
     model, history = train(model, enc_train, cfg)
-    return [per_question(evaluate(model, enc), enc, qids) for enc, qids in tests], history
+    return [per_question(evaluate(model, enc), enc) for enc in tests], history
 
 
 # kind -> arms, each (variant, training form, {row label: test form}); a
@@ -452,10 +424,10 @@ def run_experiment(kind, bundle, model_cfg, train_cfg, seeds=(0, 1, 2)):
     kind requires (flattened singles, isolated slots, or split testing).
 
     Every arm is scored over the same population: each distinct test
-    question, keyed by (image_id, qtype, tokens, answer) as
-    `flatten_single_task` keys it, counts once in its type's accuracy and
-    in the total.  A question that fills several combined or isolated test
-    rows scores the mean of its correctness over those rows.  The combined
+    question, its LabeledQuestion record, counts once in its type's
+    accuracy and in the total.  A question that fills several combined or
+    isolated test rows scores the mean of its correctness over those rows
+    (`per_question` over the encoded set's `qids`).  The combined
     test set repeats a question once per combination of its image's other
     questions, so counting slots would weight images with many questions
     more and compare the arms over different sets of questions.
@@ -468,25 +440,14 @@ def run_experiment(kind, bundle, model_cfg, train_cfg, seeds=(0, 1, 2)):
                           f"non-negative integers, got {seeds}")
     tasks = bundle.tasks
 
-    def train_set(form):
-        examples = bundle.train_combined
+    def encoded(examples, form):
         if form == "single":
             return bundle.encode_singles(flatten_single_task(examples))
         return bundle.encode_combined(isolate_slots(examples) if form == "isolated"
                                       else examples)
 
-    def test_set(form):
-        """(encoded test set, each slot's question index)"""
-        examples = bundle.test_combined
-        if form == "single":  # flattening leaves each question in one row
-            enc = bundle.encode_singles(flatten_single_task(examples))
-            return enc, np.arange(len(enc)).reshape(-1, 1)
-        if form == "isolated":
-            examples = isolate_slots(examples)
-        return bundle.encode_combined(examples), question_ids(examples, tasks)
-
-    arms = [(variant, train_set(train_form),
-             {label: test_set(form) for label, form in tests.items()})
+    arms = [(variant, encoded(bundle.train_combined, train_form),
+             {label: encoded(bundle.test_combined, form) for label, form in tests.items()})
             for variant, train_form, tests in _ARMS[kind]]
     reports, per_seed, convergence, questions = {}, {}, {}, {}
     for seed in seeds:
@@ -545,10 +506,8 @@ def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg):
     examples = bundle.train_combined
     train_idx, hold_idx = _image_level_split([ex.image_id for ex in examples], 0.2,
                                              np.random.default_rng(seed + 1))
-    holdout = [examples[i] for i in hold_idx]
     enc_train = bundle.encode_combined([examples[i] for i in train_idx])
-    enc_hold = bundle.encode_combined(holdout)
-    hold_qids = question_ids(holdout, bundle.tasks)
+    enc_hold = bundle.encode_combined([examples[i] for i in hold_idx])
 
     trials = []
     best = None
@@ -557,7 +516,7 @@ def search_hyperparams(space, budget, seed, bundle, model_cfg, base_train_cfg):
         emb = random_embeddings(bundle.vocab, model_cfg.embed_dim, seed=seed)
         model = build_model("mtl_simple", model_cfg, emb, seed=seed)
         model, _ = train(model, enc_train, cfg)
-        acc = per_question(evaluate(model, enc_hold), enc_hold, hold_qids).total_accuracy
+        acc = per_question(evaluate(model, enc_hold), enc_hold).total_accuracy
         acc = -1.0 if acc is None else acc
         trials.append({"trial": trial, "config": dataclasses.asdict(cfg),
                        "val_accuracy": acc})

@@ -23,8 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff.checkpoint import load_checkpoint, save_checkpoint
 from .corpus.qtypes import QuestionType, parse_qtype
-from .errors import ConfigError, FormatError, ShapeError
-from .textenc import EmbeddingTable
+from .errors import ConfigError, FormatError, MtvqaError, ShapeError
 
 # variant -> (convolutional question encoder, one head per task); each
 # single-task network is its multi-task twin with one head
@@ -81,6 +80,10 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d):
+        """The config a `to_dict` echo describes, validated; FormatError
+        names the first key whose value does not fit its field."""
+        if not isinstance(d, dict):
+            raise FormatError("model config echo is not a JSON object")
         d = dict(d)
         # older configs echo the encoder layout; only the shared one is built now
         if not d.pop("shared_question_encoder", True):
@@ -93,10 +96,29 @@ class ModelConfig:
         missing = [n for n in names if n not in d]
         if missing:
             raise FormatError(f"model config echo lacks key {missing[0]!r}")
-        d["tasks"] = tuple(parse_qtype(t) for t in d["tasks"])
-        d["filter_widths"] = tuple(d["filter_widths"])
-        d["classifier_dims"] = tuple(d["classifier_dims"])
-        return ModelConfig(**d)
+        for name in names:
+            try:
+                d[name] = _FROM_ECHO.get(name, _echo_int)(d[name])
+            except (AttributeError, TypeError, ValueError, MtvqaError) as exc:
+                raise FormatError(f"model config echo has a bad {name!r}: {exc}") from exc
+        config = ModelConfig(**d)
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise FormatError(f"model config echo: {exc}") from exc
+        return config
+
+
+def _echo_int(value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+# field -> its value from the JSON echo; every other field is an integer
+_FROM_ECHO = {"tasks": lambda v: tuple(parse_qtype(t) for t in v),
+              "filter_widths": lambda v: tuple(map(_echo_int, v)),
+              "classifier_dims": lambda v: tuple(map(_echo_int, v))}
 
 
 def _xavier(rng, shape, fan_in, fan_out):
@@ -218,8 +240,8 @@ def multitask_loss(logits, targets, mask):
 def build_model(variant, config, embedding, seed=0):
     """Construct a freshly initialized model.
 
-    `embedding` is an EmbeddingTable whose row count matches
-    config.vocab_size; its vectors are copied into the model parameters.
+    `embedding` is a (config.vocab_size, config.embed_dim) array; it is
+    copied into the model parameters.
     """
     if variant not in _FAMILY:
         raise ConfigError(f"unknown model variant {variant!r}")
@@ -227,9 +249,9 @@ def build_model(variant, config, embedding, seed=0):
     conv, per_task_heads = _FAMILY[variant]
     if per_task_heads and len(config.tasks) < 2:
         raise ConfigError(f"{variant} needs at least two tasks")
-    if embedding.vectors.shape != (config.vocab_size, config.embed_dim):
+    if embedding.shape != (config.vocab_size, config.embed_dim):
         raise ShapeError(
-            f"embedding table shape {embedding.vectors.shape} does not match config "
+            f"embedding table shape {embedding.shape} does not match config "
             f"({config.vocab_size}, {config.embed_dim})")
 
     rng = np.random.default_rng(seed)
@@ -239,7 +261,7 @@ def build_model(variant, config, embedding, seed=0):
     def add_param(name, data):
         params[name] = ad.parameter(data, name)
 
-    emb = ad.parameter(embedding.vectors.copy(), "embedding")
+    emb = ad.parameter(embedding.copy(), "embedding")
     emb.data[0] = 0.0  # padding row pinned to zero
     mask = np.ones_like(emb.data, dtype=bool)
     mask[0] = False
@@ -305,15 +327,14 @@ def load_model(path):
 
 def load_model_with_extras(path):
     raw, meta = load_checkpoint(path)
-    if not meta or "variant" not in meta or "config" not in meta:
+    if not isinstance(meta, dict) or "variant" not in meta or "config" not in meta:
         raise FormatError(f"{path}: checkpoint lacks a model config echo")
     # older checkpoints echo whether the embedding trained; every one does now
     if not meta.get("embed_trainable", True):
         raise FormatError(f"{path}: checkpoint has a frozen embedding table; "
                           "only a trained one can be loaded")
     config = ModelConfig.from_dict(meta["config"])
-    emb = EmbeddingTable(vectors=np.asarray(raw["embedding"], dtype=np.float64))
-    model = build_model(meta["variant"], config, emb, seed=0)
+    model = build_model(meta["variant"], config, raw["embedding"], seed=0)
     for name, p in model.params.items():
         if name not in raw:
             raise FormatError(f"{path}: checkpoint is missing parameter {name}")

@@ -32,17 +32,6 @@ class Vocabulary:
         return self.token_to_id.get(token, PAD_ID)
 
 
-@dataclass
-class EmbeddingTable:
-    """vocab_size x embed_dim matrix; row 0 (padding) is all-zero and frozen,
-    every other row trains."""
-    vectors: np.ndarray
-
-    @property
-    def embed_dim(self):
-        return self.vectors.shape[1]
-
-
 def build_vocab(corpora):
     """Assign ids in first-occurrence order starting at 1 (0 is padding)."""
     vocab = Vocabulary({PAD_TOKEN: PAD_ID}, [PAD_TOKEN])
@@ -60,7 +49,8 @@ def _oov_row(rng, embed_dim):
 
 
 def load_embeddings(path, vocab, embed_dim, seed=0):
-    """Load pretrained vectors for in-vocabulary tokens from a text file.
+    """The (vocab, embed_dim) table of pretrained vectors for
+    in-vocabulary tokens from a text file.
 
     File lines are `<token> <v1> ... <v_embed_dim>`.  Tokens missing from
     the file get a seeded uniform(-0.5/dim, 0.5/dim) row; the padding row
@@ -83,7 +73,8 @@ def load_embeddings(path, vocab, embed_dim, seed=0):
 
 
 def random_embeddings(vocab, embed_dim, seed=0):
-    """An embedding table with every non-padding row drawn like an OOV row."""
+    """A (vocab, embed_dim) table with every non-padding row drawn like an
+    OOV row."""
     return _assemble(vocab, embed_dim, seed, {})
 
 
@@ -96,7 +87,7 @@ def _assemble(vocab, embed_dim, seed, found):
             table[idx] = found[token]
         else:
             table[idx] = _oov_row(rng, embed_dim)
-    return EmbeddingTable(vectors=table)
+    return table
 
 
 def encode(tokens, vocab, max_len):

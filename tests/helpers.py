@@ -7,7 +7,6 @@ from mtvqa.autodiff.tensor import _accum, _node
 from mtvqa.corpus import QuestionType
 from mtvqa.errors import ShapeError
 from mtvqa.models import _FAMILY, Model, ModelConfig, build_model
-from mtvqa.textenc import EmbeddingTable
 
 
 def weighted_sum(t, weights):
@@ -254,8 +253,7 @@ def tiny_model(variant, seed=0, emb_scale=0.1, **overrides):
     rng = np.random.default_rng(seed + 1)
     table = rng.uniform(-emb_scale, emb_scale, size=(cfg.vocab_size, cfg.embed_dim))
     table[0] = 0.0
-    emb = EmbeddingTable(vectors=table)
-    return build_model(variant, cfg, emb, seed=seed)
+    return build_model(variant, cfg, table, seed=seed)
 
 
 def model_loss_case(variant, rng, batch=2):
@@ -284,3 +282,23 @@ def model_loss_case(variant, rng, batch=2):
         return loss
 
     return fn, list(model.params.values())
+
+
+def question_ids_reference(examples, tasks):
+    """(rows, heads) index of the distinct question in each slot, -1 on
+    padded slots, in the layout `encode_multitask` gives `examples`: the
+    numbering the harness computed from the examples before the encoder
+    recorded it as `EncodedDataset.qids`.
+
+    A question is keyed by (image_id, qtype, tokens, answer) and numbered
+    in first-seen order.
+    """
+    tasks = tuple(tasks)
+    index = {}
+    ids = np.full((len(examples), len(tasks)), -1, dtype=np.int64)
+    for i, ex in enumerate(examples):
+        for q in ex.slots:
+            if q.qtype in tasks:
+                key = (ex.image_id, q.qtype, q.tokens, q.answer)
+                ids[i, tasks.index(q.qtype)] = index.setdefault(key, len(index))
+    return ids

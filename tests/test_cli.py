@@ -113,6 +113,25 @@ def test_malformed_checkpoint_exits_1_with_one_error_line(pipeline_dir, capsys, 
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_eval_of_a_bad_config_echo_exits_1_with_one_error_line(pipeline_dir, capsys,
+                                                               tmp_path):
+    from mtvqa.autodiff.checkpoint import load_checkpoint, save_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    assert main(_train_argv(pipeline_dir, tmp_path, "--set", "max_epochs_nadam=1",
+                            "--set", "max_epochs_sgd=0", "--model-set", "embed_dim=4",
+                            "--model-set", "hidden_dim=6")) == 0
+    capsys.readouterr()
+    params, meta = load_checkpoint(tmp_path / "m.ckpt")
+    meta["config"]["filter_widths"] = None
+    save_checkpoint(ckpt, params, config=meta)
+    code, _, err = run(capsys, "eval", "--model", str(ckpt),
+                       "--data", str(pipeline_dir / "data" / "multitask.tsv"),
+                       "--features", str(pipeline_dir / "corpus" / "features.feat"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "filter_widths" in err
+
+
 def _experiment_args(outdir, seed="5"):
     return ["experiment", "--kind", "mtl_vs_stl", "--out", str(outdir),
             "--seeds", "1", "--seed", seed,

@@ -8,11 +8,16 @@ from mtvqa.corpus import (
     QuestionType,
     flatten_single_task,
     group_by_image,
+    isolate_slots,
     reformat_multitask,
 )
+from mtvqa.corpus import io as cio
 from mtvqa.datasets import build_answer_vocab, encode_multitask, encode_single
 from mtvqa.errors import FormatError
+from mtvqa.harness import synthetic_bundle
 from mtvqa.textenc import build_vocab, encode
+
+from helpers import question_ids_reference
 
 C, N = QuestionType.COLOUR, QuestionType.COUNT
 TASKS = (C, N)
@@ -68,9 +73,9 @@ def test_each_row_holds_its_own_questions_encoding():
     max_len = 4  # truncates the five-token questions
     enc = encode_multitask(combined, TASKS, vocab, avocab, max_len, features)
     for i, ex in enumerate(combined):
-        for qtype, (tokens, _) in ex.slots:
-            npt.assert_array_equal(enc.ids[i, TASKS.index(qtype)],
-                                   encode(tokens, vocab, max_len))
+        for q in ex.slots:
+            npt.assert_array_equal(enc.ids[i, TASKS.index(q.qtype)],
+                                   encode(q.tokens, vocab, max_len))
     singles = flatten_single_task(combined)
     enc = encode_single(singles, TASKS, vocab, avocab, max_len, features)
     for i, s in enumerate(singles):
@@ -102,10 +107,22 @@ def test_missing_feature_raises(setup):
         encode_multitask(combined, TASKS, vocab, avocab, 4, empty)
 
 
-def test_subset_preserves_alignment(setup):
-    combined, vocab, avocab, features = setup
-    enc = encode_multitask(combined, TASKS, vocab, avocab, 4, features)
-    sub = enc.subset([1])
-    assert sub.image_ids == ("b",)
-    npt.assert_array_equal(sub.images[0], [0.0, 1.0])
-    assert len(sub) == 1
+@pytest.mark.parametrize("form", ["combined", "isolated"])
+def test_qids_number_each_distinct_question_in_first_seen_order(form, tmp_path):
+    bundle = synthetic_bundle(10, 6, seed=8)
+    examples = bundle.test_combined
+    if form == "isolated":
+        examples = isolate_slots(examples)
+    want = question_ids_reference(examples, bundle.tasks)
+    assert want.max() + 1 < int((want >= 0).sum())  # some question fills several slots
+    npt.assert_array_equal(bundle.encode_combined(examples).qids, want)
+    path = tmp_path / "examples.tsv"
+    cio.write_multitask(path, examples, bundle.tasks)
+    read_back, _ = cio.read_multitask(path)
+    npt.assert_array_equal(bundle.encode_combined(read_back).qids, want)
+
+
+def test_qids_of_single_questions_are_the_row_numbers():
+    bundle = synthetic_bundle(10, 6, seed=8)
+    enc = bundle.encode_singles(flatten_single_task(bundle.test_combined))
+    npt.assert_array_equal(enc.qids, np.arange(len(enc)).reshape(-1, 1))

@@ -54,6 +54,25 @@ def test_feature_dim_mismatch_names_record(tmp_path):
         load_features(path)
 
 
+def test_feature_non_numeric_value_names_path_and_line(tmp_path):
+    path = tmp_path / "f.feat"
+    path.write_text("mtvqa-feat v1 2\nimg0 1 2\nimg1 0.5 abc\n")
+    with pytest.raises(FormatError, match=r"f\.feat:3: record 'img1'"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("drop", ["magic", "dim", "ids", "matrix"])
+def test_feature_archive_missing_member_names_path(tmp_path, drop):
+    members = {"magic": np.array("mtvqa-feat v1"), "dim": np.array(2),
+               "ids": np.array(["img0"]), "matrix": np.zeros((1, 2))}
+    del members[drop]
+    path = tmp_path / "f.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    with pytest.raises(FormatError, match=r"f\.npz: malformed feature archive"):
+        load_features(path)
+
+
 def test_feature_empty_file_errors(tmp_path):
     path = tmp_path / "f.feat"
     path.write_text("")

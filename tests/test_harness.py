@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from mtvqa import harness
-from mtvqa.corpus import MultiTaskExample, flatten_single_task, isolate_slots
+from mtvqa.corpus import LabeledQuestion, MultiTaskExample, flatten_single_task, isolate_slots
 from mtvqa.datasets import EncodedDataset
 from mtvqa.errors import ConfigError, TrainingError
 from mtvqa.harness import (
@@ -15,7 +15,6 @@ from mtvqa.harness import (
     evaluate,
     per_question,
     prediction_logits,
-    question_ids,
     run_experiment,
     sample_config,
     search_hyperparams,
@@ -44,7 +43,8 @@ def small_cfg(bundle):
 def test_max_len_comes_from_the_training_half():
     base = synthetic_bundle(6, 2, seed=1)
     assert base.max_len == 5
-    long_q = MultiTaskExample("img99999", ((base.tasks[0], (("what",) * 9, "red")),))
+    long_q = MultiTaskExample("img99999", (LabeledQuestion("img99999", ("what",) * 9, "red",
+                                                           base.tasks[0]),))
     bundle = harness.bundle_from_examples(base.train_combined,
                                           base.test_combined + [long_q],
                                           base.features, base.tasks)
@@ -108,9 +108,7 @@ def test_training_loss_decreases(bundle, small_cfg):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf features on purpose
 def test_non_finite_features_abort_with_location(bundle, small_cfg):
     enc = bundle.encode_combined(bundle.train_combined)
-    bad = EncodedDataset(ids=enc.ids, targets=enc.targets, mask=enc.mask,
-                         qtypes=enc.qtypes, images=np.full_like(enc.images, np.inf),
-                         image_ids=enc.image_ids, tasks=enc.tasks)
+    bad = dataclasses.replace(enc, images=np.full_like(enc.images, np.inf))
     model = _fresh_model(bundle, small_cfg)
     with pytest.raises(TrainingError, match="epoch 1"):
         train(model, bad, _quick_cfg())
@@ -191,7 +189,8 @@ def test_evaluate_all_correct_and_three_quarters():
     qtypes = np.zeros((4, 1), dtype=np.int64)  # all colour
     mask = np.ones((4, 1), dtype=bool)
     data = EncodedDataset(ids=ids, targets=preds.copy(), mask=mask, qtypes=qtypes,
-                          images=images, image_ids=tuple("abcd"), tasks=TINY_TASKS)
+                          qids=np.arange(4).reshape(4, 1), images=images,
+                          image_ids=tuple("abcd"), tasks=TINY_TASKS)
     assert evaluate(model, data).total_accuracy == 100.0
 
     wrong = preds.copy()
@@ -212,7 +211,8 @@ def test_evaluate_ignores_masked_slots_and_absent_types():
     qtypes[:, 3] = -1
     targets = preds.copy()
     targets[:, 3] = -1
-    data = EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes,
+    qids = np.where(mask, np.arange(12).reshape(3, 4), -1)
+    data = EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes, qids=qids,
                           images=images, image_ids=tuple("abc"), tasks=TINY_TASKS)
     report = evaluate(model, data)
     assert report.accuracy(TINY_TASKS[3]) is None
@@ -224,6 +224,7 @@ def test_evaluate_ignores_masked_slots_and_absent_types():
                            targets=np.vstack([data.targets, data.targets[:1]]),
                            mask=np.vstack([data.mask, np.zeros((1, 4), dtype=bool)]),
                            qtypes=np.vstack([data.qtypes, np.full((1, 4), -1)]),
+                           qids=np.vstack([data.qids, np.full((1, 4), -1)]),
                            images=np.vstack([data.images, data.images[:1]]),
                            image_ids=data.image_ids + ("a",), tasks=data.tasks)
     report2 = evaluate(model, data2)
@@ -254,11 +255,12 @@ def test_per_question_counts_each_question_once():
     targets = preds.copy()
     targets[4, 0] = (targets[4, 0] + 1) % 5
     data = EncodedDataset(ids=ids, targets=targets, mask=np.ones((5, 1), dtype=bool),
-                          qtypes=np.zeros((5, 1), dtype=np.int64), images=images,
+                          qtypes=np.zeros((5, 1), dtype=np.int64),
+                          qids=np.array([[0], [0], [0], [0], [1]]), images=images,
                           image_ids=tuple("aaaab"), tasks=TINY_TASKS)
     report = evaluate(model, data)
     assert report.total_accuracy == 80.0
-    scored = per_question(report, data, np.array([[0], [0], [0], [0], [1]]))
+    scored = per_question(report, data)
     assert scored.total_accuracy == 50.0
     assert scored.accuracy(TINY_TASKS[0]) == 50.0
     assert scored.counts[TINY_TASKS[0]] == 2
@@ -374,12 +376,11 @@ def test_search_scores_the_holdout_per_question(bundle, small_cfg):
     examples = bundle.train_combined
     train_idx, hold_idx = harness._image_level_split(
         [ex.image_id for ex in examples], 0.2, np.random.default_rng(seed + 1))
-    holdout = [examples[i] for i in hold_idx]
-    enc_hold = bundle.encode_combined(holdout)
+    enc_hold = bundle.encode_combined([examples[i] for i in hold_idx])
     model, _ = train(_fresh_model(bundle, small_cfg, seed=seed),
                      bundle.encode_combined([examples[i] for i in train_idx]), base)
     report = evaluate(model, enc_hold)
-    want = per_question(report, enc_hold, question_ids(holdout, bundle.tasks))
+    want = per_question(report, enc_hold)
     assert want.total_accuracy != report.total_accuracy  # the two scores differ here
     assert trials[0]["val_accuracy"] == want.total_accuracy
 

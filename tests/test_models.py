@@ -14,7 +14,6 @@ from mtvqa.models import (
     multitask_loss,
     save_model,
 )
-from mtvqa.textenc import EmbeddingTable
 
 from helpers import TINY_TASKS, EveryRowModel, tiny_model, tiny_model_config, weighted_sum
 
@@ -174,13 +173,11 @@ def test_forward_shape_validation():
 
 def test_variant_and_task_validation():
     cfg = tiny_model_config()
-    emb = EmbeddingTable(vectors=np.zeros((cfg.vocab_size, cfg.embed_dim)))
     with pytest.raises(ConfigError):
-        build_model("nonsense", cfg, emb)
+        build_model("nonsense", cfg, np.zeros((cfg.vocab_size, cfg.embed_dim)))
     solo = tiny_model_config(tasks=(QuestionType.COLOUR,))
     with pytest.raises(ConfigError):
-        build_model("mtl_simple", solo, EmbeddingTable(
-            vectors=np.zeros((solo.vocab_size, solo.embed_dim))))
+        build_model("mtl_simple", solo, np.zeros((solo.vocab_size, solo.embed_dim)))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -270,6 +267,27 @@ def test_load_rejects_config_echo_with_unknown_or_missing_key(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("embed_dim", "x"), ("embed_dim", 2.5), ("embed_dim", True), ("embed_dim", 0),
+    ("tasks", 5), ("tasks", ["colour", "shape"]), ("filter_widths", None),
+    ("filter_widths", [1, "2"]), ("classifier_dims", {"a": 1}), ("config", "list")],
+    ids=["embed_dim-str", "embed_dim-float", "embed_dim-bool", "embed_dim-zero",
+         "tasks-int", "tasks-unknown", "filter_widths-null", "filter_widths-str-item",
+         "classifier_dims-object", "config-list"])
+def test_load_rejects_config_echo_with_bad_value(tmp_path, key, value):
+    # a wrong-typed or invalid value is a FormatError naming the key, and a
+    # config that is not a JSON object (here a list) is one too
+    from mtvqa.autodiff.checkpoint import save_checkpoint
+    model = tiny_model("mtl_simple", seed=5)
+    echo = model.config.to_dict()
+    config = list(echo) if key == "config" else dict(echo, **{key: value})
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {n: p.data for n, p in model.params.items()},
+                    config={"variant": "mtl_simple", "config": config, "extras": None})
+    with pytest.raises(FormatError, match="not a JSON object" if key == "config" else key):
+        load_model(path)
+
+
 def test_embedding_pad_row_pinned():
     model = tiny_model("mtl_simple")
     emb = model.params["embedding"]
@@ -288,8 +306,7 @@ def test_vqateam_stl_matches_scalar_trace():
                       img_compress_dim=1, lstm_dim=1, lstm_depth=1, common_dim=1,
                       classifier_dims=(1,))
     emb_rows = np.array([[0.0, 0.0], [0.5, -0.3], [0.2, 0.4]])
-    model = build_model("vqateam_stl", cfg,
-                        EmbeddingTable(vectors=emb_rows.copy()), seed=0)
+    model = build_model("vqateam_stl", cfg, emb_rows.copy(), seed=0)
     wx = np.array([[0.1, 0.2, 0.3, 0.4], [-0.2, 0.1, 0.0, 0.3]])
     wh = np.array([[0.05, -0.1, 0.2, 0.15]])
     bias = np.array([0.01, 0.02, 0.03, 0.04])

@@ -56,8 +56,8 @@ def test_reformat_two_colour_one_count():
     assert len(examples) == 2
     for ex in examples:
         assert ex.mask((C, N, P, S)) == (True, True, False, False)
-    assert {ex.slot(C)[1] for ex in examples} == {"red", "blue"}
-    assert all(ex.slot(N)[1] == "2" for ex in examples)
+    assert {ex.slot(C).answer for ex in examples} == {"red", "blue"}
+    assert all(ex.slot(N).answer == "2" for ex in examples)
 
 
 def test_single_type_image_contributes_nothing():
@@ -105,7 +105,7 @@ def test_slot_multiset_equals_qualifying_questions():
     qualifying = {g.image_id for g in groups if len(g.present_types(tasks)) >= 2}
     expected = {(x.image_id, x.qtype, x.tokens, x.answer)
                 for x in qs if x.image_id in qualifying}
-    seen = {(ex.image_id, t, tok, ans) for ex in examples for t, (tok, ans) in ex.slots}
+    seen = {(ex.image_id, x.qtype, x.tokens, x.answer) for ex in examples for x in ex.slots}
     assert seen == expected
 
 

@@ -53,11 +53,11 @@ def test_load_embeddings_copies_file_rows(tmp_path):
     path.write_text("a 0.25 -1.5 3.0\nzz 1 2 3\n")
     vocab = build_vocab([["a", "b"]])
     table = load_embeddings(path, vocab, 3, seed=0)
-    npt.assert_array_equal(table.vectors[1], [0.25, -1.5, 3.0])
+    npt.assert_array_equal(table[1], [0.25, -1.5, 3.0])
     # padding row zero, OOV row inside the documented range
-    npt.assert_array_equal(table.vectors[0], np.zeros(3))
-    assert np.all(np.abs(table.vectors[2]) <= 0.5 / 3)
-    assert np.any(table.vectors[2] != 0)
+    npt.assert_array_equal(table[0], np.zeros(3))
+    assert np.all(np.abs(table[2]) <= 0.5 / 3)
+    assert np.any(table[2] != 0)
 
 
 def test_oov_rows_are_seed_deterministic(tmp_path):
@@ -66,9 +66,9 @@ def test_oov_rows_are_seed_deterministic(tmp_path):
     vocab = build_vocab([["a", "b", "c"]])
     t1 = load_embeddings(path, vocab, 3, seed=9)
     t2 = load_embeddings(path, vocab, 3, seed=9)
-    npt.assert_array_equal(t1.vectors, t2.vectors)
+    npt.assert_array_equal(t1, t2)
     t3 = load_embeddings(path, vocab, 3, seed=10)
-    assert np.any(t3.vectors[2] != t1.vectors[2])
+    assert np.any(t3[2] != t1[2])
 
 
 def test_dimension_mismatch_reports_line(tmp_path):
@@ -82,8 +82,8 @@ def test_dimension_mismatch_reports_line(tmp_path):
 def test_random_embeddings_pad_zero_and_range():
     vocab = build_vocab([["a", "b"]])
     table = random_embeddings(vocab, 4, seed=2)
-    npt.assert_array_equal(table.vectors[0], np.zeros(4))
-    assert np.all(np.abs(table.vectors[1:]) <= 0.5 / 4)
+    npt.assert_array_equal(table[0], np.zeros(4))
+    assert np.all(np.abs(table[1:]) <= 0.5 / 4)
 
 
 def test_encode_requires_positive_max_len():
