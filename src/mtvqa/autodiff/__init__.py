@@ -8,7 +8,6 @@ from .tensor import (
     max_over_time,
     mul,
     parameter,
-    place_rows,
     softmax_cross_entropy_masked,
     tanh,
     zero_grads,
@@ -20,7 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "affine", "concat", "constant", "conv1d", "embedding",
-    "max_over_time", "mul", "parameter", "place_rows",
+    "max_over_time", "mul", "parameter",
     "softmax_cross_entropy_masked", "tanh", "zero_grads",
     "lstm_sequence", "Nadam", "SgdMomentum", "GradCheckReport",
     "check_gradients", "load_checkpoint", "save_checkpoint",

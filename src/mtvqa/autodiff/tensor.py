@@ -5,11 +5,11 @@ single `backward()` call on a scalar output fills `.grad` on every tensor
 that contributed to it.  The engine holds exactly the operators that the
 question-answering models and their training run: affine maps, valid 1-d
 convolution over token positions, max-over-time pooling, tanh,
-concatenation along the feature axis, elementwise product, embedding
-lookup, placing encoded rows among copies of one padding row (so a
-model encodes only its filled question slots), a fused stacked LSTM (in
-`lstm.py`) and a masked softmax cross entropy.  There is no broadcasting
-beyond what these operators define internally.
+concatenation along the feature axis, elementwise product, row lookup
+(of word vectors, and of encoded questions, so a model encodes each
+distinct question once), a fused stacked LSTM (in `lstm.py`) and a masked
+softmax cross entropy.  There is no broadcasting beyond what these
+operators define internally.
 
 Every operator builds its output with `_node`, and no node refers to
 itself, so no graph is a reference cycle: reference counting frees a graph
@@ -253,36 +253,9 @@ def concat(tensors):
     return _node(np.concatenate([t.data for t in tensors], axis=-1), tensors, "concat", _bw)
 
 
-def place_rows(enc, pad, rows, n):
-    """An (n, d) tensor whose rows `rows` are `enc`, in order, and whose other
-    rows are copies of the (1, d) `pad`.
-
-    `rows` holds distinct row indices; `enc` is (len(rows), d), or None when
-    `rows` is empty.  The backward passes `g[rows]` to `enc` and the sum of
-    the other rows of `g` to `pad`.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    d = pad.data.shape[-1]
-    enc_shape = (0, d) if enc is None else enc.data.shape
-    if pad.data.shape != (1, d) or enc_shape != (rows.size, d):
-        raise ShapeError(f"place_rows: padding row {pad.data.shape} and encoded rows "
-                         f"{enc_shape} do not fit {rows.size} placed rows")
-    empty = np.ones(n, dtype=bool)
-    empty[rows] = False
-    out = np.repeat(pad.data, n, axis=0)
-    if enc is not None:
-        out[rows] = enc.data
-
-    def _bw(g):
-        if enc is not None:
-            _accum(enc, g[rows])
-        _accum(pad, g[empty].sum(axis=0, keepdims=True))
-
-    return _node(out, (pad,) if enc is None else (enc, pad), "place_rows", _bw)
-
-
 def embedding(table, ids):
-    """Look up rows of `table` for an integer id array of shape (batch, time)."""
+    """Look up rows of a 2-d `table` for an integer id array of any shape;
+    the output has shape `ids.shape + (table width,)`."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding: table must be 2-d, got {table.data.shape}")

@@ -147,8 +147,8 @@ class Model:
         """images: (batch, feature_dim); ids: (batch, n_heads, max_len).
 
         Returns one logits tensor of shape (batch, n_answers) per head.
-        The question encoder runs only on filled slots; see
-        `encode_questions`.
+        The question encoder runs once, over the batch's distinct question
+        rows; see `encode_questions`.
         """
         images = np.asarray(images, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)
@@ -177,25 +177,18 @@ class Model:
     def encode_questions(self, ids):
         """One (batch, question width) encoding per head of (batch, n_heads, max_len) ids.
 
-        Each head encodes only its filled rows.  A slot is empty when every
-        id is padding (an all-unknown-word question too, which encodes to
-        the same vector); its row is the encoding of the all-padding
-        question, computed at most once per call and only when some slot
-        is empty.
+        The distinct question rows of all heads, the all-padding question of
+        empty slots among them, are encoded in one encoder call.  Each head
+        gathers its rows from that encoding, and the gather's backward sums
+        their gradients per distinct row.
         """
         encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
-        filled = (ids != 0).any(axis=2)
-        pad = None if filled.all() else encode(np.zeros((1, ids.shape[2]), dtype=np.int64))
-        n = len(ids)
-        questions = []
-        for h in range(ids.shape[1]):
-            rows = np.flatnonzero(filled[:, h])
-            if rows.size == n:
-                questions.append(encode(ids[:, h, :]))
-            else:
-                enc = encode(ids[rows, h, :]) if rows.size else None
-                questions.append(ad.place_rows(enc, pad, rows, n))
-        return questions
+        n, n_heads, max_len = ids.shape
+        rows, inv = np.unique(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len),
+                              axis=0, return_inverse=True)
+        enc = encode(rows)
+        inv = inv.reshape(n_heads, n)  # numpy releases differ in the inverse's shape
+        return [ad.embedding(enc, inv[h]) for h in range(n_heads)]
 
     def encode_question_conv(self, ids2d):
         seq = ad.embedding(self.params["embedding"], ids2d)
@@ -334,7 +327,8 @@ def load_model_with_extras(path):
         raise FormatError(f"{path}: checkpoint has a frozen embedding table; "
                           "only a trained one can be loaded")
     config = ModelConfig.from_dict(meta["config"])
-    model = build_model(meta["variant"], config, raw["embedding"], seed=0)
+    model = build_model(meta["variant"], config,
+                        np.zeros((config.vocab_size, config.embed_dim)), seed=0)
     for name, p in model.params.items():
         if name not in raw:
             raise FormatError(f"{path}: checkpoint is missing parameter {name}")

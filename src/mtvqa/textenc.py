@@ -68,7 +68,10 @@ def load_embeddings(path, vocab, embed_dim, seed=0):
             if len(vals) != embed_dim:
                 raise FormatError(
                     f"{path}:{lineno}: expected {embed_dim} values, found {len(vals)}")
-            found[token] = np.array([float(v) for v in vals], dtype=np.float64)
+            try:
+                found[token] = np.array([float(v) for v in vals], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: token {token!r}: {exc}") from exc
     return _assemble(vocab, embed_dim, seed, found)
 
 

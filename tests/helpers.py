@@ -113,16 +113,6 @@ def op_case_mul(rng):
     return lambda: weighted_sum(ad.mul(a, b), w), [a, b]
 
 
-def op_case_place_rows(rng):
-    n = int(rng.integers(1, 5))
-    rows = np.flatnonzero(rng.integers(0, 2, size=n))
-    pad = _p(rng, (1, 3), "pad")
-    enc = _p(rng, (rows.size, 3), "enc") if rows.size else None
-    w = rng.normal(size=(n, 3))
-    return (lambda: weighted_sum(ad.place_rows(enc, pad, rows, n), w),
-            [pad] + ([enc] if enc is not None else []))
-
-
 def op_case_tanh(rng):
     a = _p(rng, (2, 4), "a")
     w = rng.normal(size=(2, 4))
@@ -210,7 +200,6 @@ def lstm_reference(x, layers):
 
 OP_CASES = {
     "mul": op_case_mul,
-    "place_rows": op_case_place_rows,
     "tanh": op_case_tanh,
     "affine": op_case_affine,
     "conv1d": op_case_conv1d,
@@ -223,9 +212,10 @@ OP_CASES = {
 
 
 class EveryRowModel(Model):
-    """A model that encodes every question row, empty slots included, as
-    the forward pass did before it skipped empty slots; it shares the
-    parameters of the model it wraps."""
+    """A model that encodes every question row of each head, repeated
+    questions and empty slots included, in one encoder call per head: the
+    reference for the forward pass, which encodes each distinct row once.
+    It shares the parameters of the model it wraps."""
 
     def __init__(self, model):
         super().__init__(model.variant, model.config, model.params)

@@ -288,6 +288,22 @@ def test_load_rejects_config_echo_with_bad_value(tmp_path, key, value):
         load_model(path)
 
 
+@pytest.mark.parametrize("fault", ["missing", "wrong_shape"])
+def test_load_rejects_bad_embedding_like_any_parameter(tmp_path, fault):
+    from mtvqa.autodiff.checkpoint import save_checkpoint
+    model = tiny_model("mtl_simple", seed=5)
+    params = {n: p.data for n, p in model.params.items()}
+    if fault == "missing":
+        del params["embedding"]
+    else:
+        params["embedding"] = params["embedding"][:, 1:]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, config={"variant": "mtl_simple",
+                                          "config": model.config.to_dict(), "extras": None})
+    with pytest.raises(FormatError, match=r"m\.ckpt: .*parameter embedding"):
+        load_model(path)
+
+
 def test_embedding_pad_row_pinned():
     model = tiny_model("mtl_simple")
     emb = model.params["embedding"]
@@ -350,7 +366,9 @@ def test_all_pad_question_embeds_to_exact_zero_sequence():
 def _slot_batch(model, rng, kind):
     """A batch with filled and empty (all-padding) question slots: "mixed"
     empties some slots and every slot of head 2, "none_empty" fills every
-    slot, "all_empty" fills none."""
+    slot, "all_empty" fills none, and "repeated" copies questions down a
+    head and across heads, as combined examples repeat them, and empties
+    one slot."""
     cfg = model.config
     batch = 5
     images = rng.normal(size=(batch, cfg.feature_dim))
@@ -362,6 +380,10 @@ def _slot_batch(model, rng, kind):
         ids[0, 0, 0] = 1  # head 0 keeps one filled row
     elif kind == "all_empty":
         ids[:] = 0
+    elif kind == "repeated":
+        ids[1:3] = ids[0]
+        ids[3:, 1:] = ids[3:, :1]
+        ids[4, 2] = 0
     targets = rng.integers(0, cfg.n_answers, size=(batch, model.n_heads))
     mask = rng.random((batch, model.n_heads)) < 0.7
     return images, ids, targets, mask
@@ -377,7 +399,7 @@ def _loss_and_grads(model, batch):
     return float(loss.data), np.stack([lg.data for lg in logits]), grads
 
 
-@pytest.mark.parametrize("kind", ["mixed", "none_empty", "all_empty"])
+@pytest.mark.parametrize("kind", ["mixed", "none_empty", "all_empty", "repeated"])
 @pytest.mark.parametrize("variant", ["mtl_simple", "vqateam_mtl"])
 def test_filled_slot_encoding_matches_every_row_reference(variant, kind):
     model = tiny_model(variant, seed=3, emb_scale=1.0)
@@ -391,38 +413,41 @@ def test_filled_slot_encoding_matches_every_row_reference(variant, kind):
         assert gap <= 1e-12 * np.abs(ref).max(), f"{name}: gradient gap {gap:.2e}"
 
 
-def _count_encoder_rows(model):
-    """Record the row count of every call to the model's per-row encoder."""
+def _encoder_calls(model):
+    """Record the ids of every call to the model's per-row encoder."""
     name = "encode_question_conv" if _FAMILY[model.variant][0] else "_question_lstm"
     encode = getattr(model, name)
     calls = []
 
-    def counted(ids2d):
-        calls.append((len(ids2d), bool(np.all(ids2d == 0))))
+    def recorded(ids2d):
+        calls.append(ids2d.copy())
         return encode(ids2d)
 
-    setattr(model, name, counted)
+    setattr(model, name, recorded)
     return calls
 
 
 @pytest.mark.parametrize("variant", ["stl_simple", "vqateam_stl"])
 def test_stl_forward_never_encodes_the_padding_row(variant):
     model = tiny_model(variant)
-    calls = _count_encoder_rows(model)
+    calls = _encoder_calls(model)
     images, ids = _batch(model, np.random.default_rng(12), batch=4)
     ids[:, :, 0] = 1  # single questions are never empty
     model.forward(images, ids)
-    assert calls == [(4, False)]
+    (rows,) = calls
+    assert len(rows) == 4 and rows.any(axis=1).all()
 
 
 @pytest.mark.parametrize("variant", ["mtl_simple", "vqateam_mtl"])
-def test_padding_row_is_encoded_once_per_forward(variant):
+def test_one_encoder_call_per_forward_over_the_distinct_rows(variant):
     model = tiny_model(variant)
-    calls = _count_encoder_rows(model)
-    images, ids, _, _ = _slot_batch(model, np.random.default_rng(13), "mixed")
+    calls = _encoder_calls(model)
+    images, ids, _, _ = _slot_batch(model, np.random.default_rng(13), "repeated")
     model.forward(images, ids)
-    filled = (ids != 0).any(axis=2).sum(axis=0)
-    assert calls == [(1, True)] + [(int(k), False) for k in filled if k]
+    (rows,) = calls
+    distinct = {tuple(q) for q in ids.reshape(-1, ids.shape[2])}
+    assert (0,) * ids.shape[2] in distinct and len(distinct) < ids.shape[0] * ids.shape[1]
+    assert len(rows) == len(distinct) and {tuple(r) for r in rows} == distinct
 
 
 def test_pooling_before_tanh_matches_tanh_first_on_saturated_batch():

@@ -71,18 +71,6 @@ def test_max_over_time_matches_the_gather_reference_on_ties():
     assert results[0] == results[1]
 
 
-def test_place_rows_fills_the_other_rows_with_the_padding_row():
-    enc = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]), "enc")
-    pad = ad.parameter(np.array([[-1.0, 0.5]]), "pad")
-    out = ad.place_rows(enc, pad, np.array([0, 3]), 4)
-    npt.assert_array_equal(out.data, [[1, 2], [-1, 0.5], [-1, 0.5], [3, 4]])
-    weighted_sum(out, np.arange(8.0).reshape(4, 2)).backward()
-    npt.assert_array_equal(enc.grad, [[0, 1], [6, 7]])
-    npt.assert_array_equal(pad.grad, [[6, 8]])
-    only_pad = ad.place_rows(None, ad.constant(pad.data), np.array([], dtype=np.int64), 2)
-    npt.assert_array_equal(only_pad.data, [[-1, 0.5], [-1, 0.5]])
-
-
 def test_concat_splits_gradient():
     rng = np.random.default_rng(2)
     a = ad.parameter(rng.normal(size=(2, 2)), "a")
@@ -121,7 +109,8 @@ def test_embedding_grad_mask_freezes_row():
     np.full((3, 4), 2),                       # one id everywhere
     np.array([[0, 0, 5, 1], [2, 0, 0, 0]]),   # padding id 0 among real ids
     np.zeros((0, 4), dtype=np.int64),         # no rows
-], ids=["repeated", "one_id", "padding", "empty"])
+    np.array([4, 1, 4, 0]),                   # 1-d ids, as a row gather passes
+], ids=["repeated", "one_id", "padding", "empty", "one_dim"])
 def test_embedding_gradient_matches_add_at(ids):
     rng = np.random.default_rng(ids.size)
     table = ad.parameter(rng.normal(size=(6, 3)), "table")

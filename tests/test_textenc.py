@@ -79,6 +79,14 @@ def test_dimension_mismatch_reports_line(tmp_path):
         load_embeddings(path, vocab, 3)
 
 
+def test_non_numeric_value_reports_line(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("a 1 2\nred 0.5 abc\n")
+    vocab = build_vocab([["a", "red"]])
+    with pytest.raises(FormatError, match=":2: token 'red'"):
+        load_embeddings(path, vocab, 2)
+
+
 def test_random_embeddings_pad_zero_and_range():
     vocab = build_vocab([["a", "b"]])
     table = random_embeddings(vocab, 4, seed=2)
