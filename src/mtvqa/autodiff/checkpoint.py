@@ -36,7 +36,7 @@ def save_checkpoint(path, params, config=None, binary=True):
         for n in names:
             arr = np.asarray(params[n], dtype=np.float64)
             dims = " ".join(str(d) for d in arr.shape) or "-"
-            vals = " ".join(repr(float(v)) for v in arr.reshape(-1))
+            vals = " ".join(map(repr, arr.reshape(-1).tolist()))
             fh.write(f"{n}\t{dims}\t{vals}\n")
 
 
@@ -83,7 +83,7 @@ def _load_text(path):
             shape = () if dims == "-" else tuple(int(d) for d in dims.split())
             if min(shape, default=0) < 0:
                 raise ValueError(f"negative dimension in {dims!r}")
-            params[name] = np.array([float(v) for v in vals.split()]).reshape(shape)
+            params[name] = np.array(vals.split(), dtype=np.float64).reshape(shape)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
     if len(params) != count:

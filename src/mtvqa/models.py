@@ -121,6 +121,16 @@ _FROM_ECHO = {"tasks": lambda v: tuple(parse_qtype(t) for t in v),
               "classifier_dims": lambda v: tuple(map(_echo_int, v))}
 
 
+def _distinct_rows(a):
+    """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one lexsort."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    first = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    inv = np.empty(len(a), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return ordered[first], inv
+
+
 def _xavier(rng, shape, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
@@ -184,11 +194,9 @@ class Model:
         """
         encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
         n, n_heads, max_len = ids.shape
-        rows, inv = np.unique(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len),
-                              axis=0, return_inverse=True)
+        rows, inv = _distinct_rows(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len))
         enc = encode(rows)
-        inv = inv.reshape(n_heads, n)  # numpy releases differ in the inverse's shape
-        return [ad.embedding(enc, inv[h]) for h in range(n_heads)]
+        return [ad.embedding(enc, head) for head in inv.reshape(n_heads, n)]
 
     def encode_question_conv(self, ids2d):
         seq = ad.embedding(self.params["embedding"], ids2d)

@@ -54,7 +54,7 @@ def load_embeddings(path, vocab, embed_dim, seed=0):
 
     File lines are `<token> <v1> ... <v_embed_dim>`.  Tokens missing from
     the file get a seeded uniform(-0.5/dim, 0.5/dim) row; the padding row
-    stays zero.
+    stays zero.  A value that is not a finite float raises `FormatError`.
     """
     found = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,7 +69,9 @@ def load_embeddings(path, vocab, embed_dim, seed=0):
                 raise FormatError(
                     f"{path}:{lineno}: expected {embed_dim} values, found {len(vals)}")
             try:
-                found[token] = np.array([float(v) for v in vals], dtype=np.float64)
+                found[token] = np.array(vals, dtype=np.float64)
+                if not np.isfinite(found[token]).all():
+                    raise ValueError("non-finite value")
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: token {token!r}: {exc}") from exc
     return _assemble(vocab, embed_dim, seed, found)

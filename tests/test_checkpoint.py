@@ -37,6 +37,16 @@ def test_text_round_trip_is_exact(tmp_path, params):
         npt.assert_array_equal(loaded[name], params[name])
 
 
+def test_text_values_are_written_as_repr_and_read_back_bit_exact(tmp_path):
+    vals = np.array([-0.0, 5e-324, 1e16, 0.1, np.nan, np.inf, -np.inf, 1 / 3, -2.5e-300])
+    path = tmp_path / "model.txt"
+    save_checkpoint(path, {"v": vals.reshape(3, 3)}, binary=False)
+    line = path.read_text(encoding="utf-8").splitlines()[2]
+    assert line == "v\t3 3\t" + " ".join(repr(float(v)) for v in vals)
+    loaded, _ = load_checkpoint(path)
+    npt.assert_array_equal(loaded["v"].reshape(-1).view(np.int64), vals.view(np.int64))
+
+
 def test_text_header_errors(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a checkpoint\n")

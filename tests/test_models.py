@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mtvqa import autodiff as ad
 from mtvqa.corpus import QuestionType
@@ -9,6 +11,7 @@ from mtvqa.models import (
     _FAMILY,
     VARIANTS,
     ModelConfig,
+    _distinct_rows,
     build_model,
     load_model,
     multitask_loss,
@@ -448,6 +451,34 @@ def test_one_encoder_call_per_forward_over_the_distinct_rows(variant):
     distinct = {tuple(q) for q in ids.reshape(-1, ids.shape[2])}
     assert (0,) * ids.shape[2] in distinct and len(distinct) < ids.shape[0] * ids.shape[1]
     assert len(rows) == len(distinct) and {tuple(r) for r in rows} == distinct
+
+
+def _assert_matches_np_unique(a):
+    rows, inv = _distinct_rows(a)
+    ref_rows, ref_inv = np.unique(a, axis=0, return_inverse=True)
+    npt.assert_array_equal(rows, ref_rows)
+    assert rows.dtype == ref_rows.dtype
+    npt.assert_array_equal(inv, ref_inv.reshape(-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distinct_rows_matches_np_unique(data):
+    # rows drawn from a small pool of rows over a few ids up to 2**40, so
+    # most rows repeat and runs of equal rows are long
+    n_rows = data.draw(st.integers(1, 300), label="rows")
+    n_cols = data.draw(st.integers(1, 25), label="cols")
+    ids = data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
+    pool = data.draw(arrays(np.int64, (data.draw(st.integers(1, 8)), n_cols),
+                            elements=st.sampled_from(ids)))
+    pick = data.draw(arrays(np.int64, n_rows, elements=st.integers(0, len(pool) - 1)))
+    _assert_matches_np_unique(pool[pick])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 25), (300, 1), (300, 25)])
+def test_distinct_rows_of_one_row_and_of_equal_rows(shape):
+    _assert_matches_np_unique(np.full(shape, 2**40, dtype=np.int64))
+    _assert_matches_np_unique(np.zeros(shape, dtype=np.int64))
 
 
 def test_pooling_before_tanh_matches_tanh_first_on_saturated_batch():

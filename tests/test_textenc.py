@@ -87,6 +87,17 @@ def test_non_numeric_value_reports_line(tmp_path):
         load_embeddings(path, vocab, 2)
 
 
+def test_non_finite_value_reports_line(tmp_path):
+    path = tmp_path / "vectors.txt"
+    vocab = build_vocab([["red", "blue"]])
+    path.write_text("red nan 1\nblue 1 inf\n")
+    with pytest.raises(FormatError, match=":1: token 'red': non-finite value"):
+        load_embeddings(path, vocab, 2)
+    path.write_text("red 0.5 1\nblue 1 inf\n")
+    with pytest.raises(FormatError, match=":2: token 'blue': non-finite value"):
+        load_embeddings(path, vocab, 2)
+
+
 def test_random_embeddings_pad_zero_and_range():
     vocab = build_vocab([["a", "b"]])
     table = random_embeddings(vocab, 4, seed=2)
