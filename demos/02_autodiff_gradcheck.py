@@ -13,13 +13,13 @@ print("== build a graph: affine -> tanh -> masked cross entropy ==")
 w = ad.parameter(rng.normal(size=(3, 4)), "w")
 b = ad.parameter(np.zeros(4), "b")
 x = np.asarray(rng.normal(size=(2, 3)))
-targets = np.array([1, 3])
-mask = np.array([True, True])
+targets = np.array([[1], [3]])  # (batch, heads): one head
+mask = np.array([[True], [True]])
 
 
 def loss_fn():
     hidden = ad.tanh(ad.affine(ad.constant(x), w, b))
-    return ad.softmax_cross_entropy_masked([hidden], [targets], [mask])
+    return ad.softmax_cross_entropy_masked([hidden], targets, mask)
 
 
 loss = loss_fn()
@@ -35,7 +35,7 @@ print(f"  max relative error {report.max_rel_err:.2e} "
 print("\n== masked rows contribute exactly nothing ==")
 ad.zero_grads([w, b])
 all_masked = ad.softmax_cross_entropy_masked(
-    [ad.affine(ad.constant(x), w, b)], [np.array([-1, -1])], [np.array([False, False])])
+    [ad.affine(ad.constant(x), w, b)], np.array([[-1], [-1]]), np.array([[False], [False]]))
 all_masked.backward()
 print(f"  all-masked loss {float(all_masked.data)!r}, "
       f"max |grad w| {float(np.abs(w.grad).max())!r}")

@@ -8,7 +8,8 @@ convolution over token positions, max-over-time pooling, tanh,
 concatenation along the feature axis, elementwise product, row lookup
 (of word vectors, and of encoded questions, so a model encodes each
 distinct question once), a fused stacked LSTM (in `lstm.py`) and a masked
-softmax cross entropy.  There is no broadcasting beyond what these
+softmax cross entropy over answer heads of one width, run as one stacked
+(heads, batch, answers) pass.  There is no broadcasting beyond what these
 operators define internally.
 
 Every operator builds its output with `_node`, and no node refers to
@@ -117,15 +118,21 @@ def _toposort(root):
     return order
 
 
-def _accum(t, g):
-    """Add `g` into `t.grad`, respecting a frozen-coordinate mask.  A first
-    gradient is the new array `g + 0.0`, where -0.0 reads +0.0 as in zeros + g."""
+def _accum(t, g, rows=...):
+    """Add `g` into `t.grad[rows]`, all of it by default, respecting a
+    frozen-coordinate mask.  Indexed rows must be distinct, so each gets its
+    `g` once; the embedding backward passes its touched rows and so builds
+    no array the size of its table.  A first gradient is `g + 0.0`, where
+    -0.0 reads +0.0 as in zeros + g, placed in zeros if `rows` is indexed."""
     if t.grad_mask is not None:
-        g = np.where(t.grad_mask, g, 0.0)
-    if t.grad is None:
+        g = np.where(t.grad_mask[rows], g, 0.0)
+    if t.grad is not None:
+        t.grad[rows] += g
+    elif rows is ...:
         t.grad = g + 0.0
     else:
-        t.grad += g
+        t.grad = np.zeros_like(t.data)
+        t.grad[rows] = g + 0.0
 
 
 def zero_grads(tensors):
@@ -267,9 +274,8 @@ def embedding(table, ids):
         order = np.argsort(flat, kind="stable")
         sid = flat[order]
         starts = np.flatnonzero(np.diff(sid, prepend=-1))
-        gt = np.zeros_like(table.data)
-        gt[sid[starts]] = np.add.reduceat(g.reshape(-1, gt.shape[1])[order], starts, axis=0)
-        _accum(table, gt)
+        sums = np.add.reduceat(g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
+        _accum(table, sums, sid[starts])
 
     return _node(table.data[ids], (table,), "embedding", _bw)
 
@@ -277,46 +283,46 @@ def embedding(table, ids):
 # ---------------------------------------------------------------------------
 # loss
 
-def softmax_cross_entropy_masked(logits_heads, targets_heads, masks_heads):
-    """Summed cross entropy over several answer heads with per-row masks.
+def softmax_cross_entropy_masked(logits_heads, targets, mask):
+    """Summed cross entropy over answer heads of one width, with masked slots.
 
-    Each head supplies logits of shape (batch, classes), integer targets of
-    shape (batch,), and a boolean mask of shape (batch,).  Masked rows
-    contribute exactly zero to the value and to every gradient; their target
-    entries are never read, so -1 is a valid placeholder.  The result is the
-    plain sum over unmasked rows of all heads (no averaging).
+    `logits_heads` holds one (batch, answers) tensor per head, all of one
+    shape; column h of the (batch, heads) integer `targets` and boolean
+    `mask` belongs to head h, as in `EncodedDataset`.  Masked slots add
+    exactly zero to the value and to every gradient, and their targets are
+    never read, so -1 is a valid placeholder.  The result is the plain sum
+    over unmasked slots (no averaging).  The heads run as one stacked
+    (heads, batch, answers) pass, and each head's sum over its batch axis
+    is added in head order: the float operations of one pass per head.
     """
     logits_heads = tuple(logits_heads)
-    saved = []
-    total = np.float64(0.0)
-    for h, (lg, tg, mk) in enumerate(zip(logits_heads, targets_heads, masks_heads)):
-        z = lg.data
-        if z.ndim != 2:
-            raise ShapeError(f"softmax_cross_entropy_masked: head {h} logits must be 2-d")
-        bsz, k = z.shape
-        tg = np.asarray(tg, dtype=np.int64)
-        mk = np.asarray(mk, dtype=bool)
-        if tg.shape != (bsz,) or mk.shape != (bsz,):
-            raise ShapeError(f"softmax_cross_entropy_masked: head {h} target/mask shape mismatch")
-        bad = mk & ((tg < 0) | (tg >= k))
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise TrainingError(
-                f"target {tg[row]} out of range [0, {k}) on unmasked head {h}, row {row}")
-        zmax = z.max(axis=1, keepdims=True)
-        ez = np.exp(z - zmax)
-        sez = ez.sum(axis=1)
-        lse = np.log(sez) + zmax[:, 0]
-        safe = np.where(mk, tg, 0)
-        ce = lse - z[np.arange(bsz), safe]
-        total = total + np.where(mk, ce, 0.0).sum()
-        saved.append((lg, ez / sez[:, None], safe, mk))
+    shapes = sorted({lg.data.shape for lg in logits_heads})
+    if len(shapes) != 1 or len(shapes[0]) != 2:
+        raise ShapeError(f"softmax_cross_entropy_masked: heads must share one (batch, answers) "
+                         f"shape, got {shapes}")
+    z = np.stack([lg.data for lg in logits_heads])
+    n_heads, bsz, k = z.shape
+    tg, mk = np.asarray(targets, dtype=np.int64).T, np.asarray(mask, dtype=bool).T
+    if tg.shape != (n_heads, bsz) or mk.shape != (n_heads, bsz):
+        raise ShapeError(f"softmax_cross_entropy_masked: targets and mask must be (batch, "
+                         f"heads) = {(bsz, n_heads)}, got {tg.T.shape} and {mk.T.shape}")
+    bad = np.argwhere(mk & ((tg < 0) | (tg >= k)))
+    if len(bad):
+        h, row = bad[0]
+        raise TrainingError(
+            f"target {tg[h, row]} out of range [0, {k}) on unmasked head {h}, row {row}")
+    zmax = z.max(axis=2, keepdims=True)
+    ez = np.exp(z - zmax)
+    sez = ez.sum(axis=2)
+    pick = (np.arange(n_heads)[:, None], np.arange(bsz), np.where(mk, tg, 0))
+    ce = np.log(sez) + zmax[..., 0] - z[pick]
+    ce[~mk] = 0.0
 
     def _bw(g):
-        for lg, probs, safe, mk in saved:
-            d = probs.copy()
-            d[np.arange(d.shape[0]), safe] -= 1.0
-            d *= mk[:, None].astype(np.float64)  # exact zeros on masked rows
-            _accum(lg, d * g)
+        d = ez / sez[..., None]
+        d[pick] -= 1.0
+        d *= mk[..., None]  # exact zeros on masked slots
+        for h, lg in enumerate(logits_heads):
+            _accum(lg, d[h] * g)
 
-    return _node(np.float64(total), logits_heads, "softmax_ce_masked", _bw)
+    return _node(ce.sum(axis=1).cumsum()[-1], logits_heads, "softmax_ce_masked", _bw)

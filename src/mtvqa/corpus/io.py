@@ -90,11 +90,12 @@ def read_multitask(path):
         if len(parts) != 1 + 2 * len(tasks):
             raise FormatError(
                 f"{path}:{lineno}: expected {1 + 2 * len(tasks)} fields, found {len(parts)}")
-        image_id = parts[0]
-        slots = tuple(LabeledQuestion(image_id, tuple(tokens.split()), answer, t)
+        slots = tuple(LabeledQuestion(parts[0], tuple(tokens.split()), answer, t)
                       for t, tokens, answer in zip(tasks, parts[1::2], parts[2::2])
                       if tokens)
-        examples.append(MultiTaskExample(image_id=image_id, slots=slots))
+        if not slots:
+            raise FormatError(f"{path}:{lineno}: example has no filled slot")
+        examples.append(MultiTaskExample(slots))
     return examples, tasks
 
 

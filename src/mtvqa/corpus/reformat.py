@@ -34,7 +34,7 @@ def reformat_multitask(groups, tasks):
         if len(present) < 2:
             continue
         for combo in itertools.product(*(grp.by_type[t] for t in present)):
-            examples.append(MultiTaskExample(image_id=grp.image_id, slots=combo))
+            examples.append(MultiTaskExample(combo))
     return examples
 
 
@@ -49,7 +49,7 @@ def isolate_slots(examples):
     out = []
     for ex in examples:
         for q in ex.slots:
-            out.append(MultiTaskExample(image_id=ex.image_id, slots=(q,)))
+            out.append(MultiTaskExample((q,)))
     return out
 
 

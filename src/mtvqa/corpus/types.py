@@ -37,11 +37,14 @@ class MultiTaskExample:
     """One image with up to one labeled question per task type.
 
     `slots` holds the image's LabeledQuestion records in task order, at
-    most one per type; a type without one is a padded slot.  The mask is
-    slot presence.
+    least one and at most one per type; a type without one is a padded
+    slot.  The mask is slot presence.
     """
-    image_id: str
     slots: tuple
+
+    @property
+    def image_id(self):
+        return self.slots[0].image_id
 
     def slot(self, qtype):
         for q in self.slots:

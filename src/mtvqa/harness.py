@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff.optim import Nadam, SgdMomentum
+from .autodiff import Nadam, SgdMomentum, softmax_cross_entropy_masked
 from .corpus.reformat import (
     flatten_single_task,
     group_by_image,
@@ -18,7 +18,7 @@ from .corpus.reformat import (
 from .corpus.synthetic import SyntheticSceneConfig, gen_synthetic_corpus
 from .datasets import build_answer_vocab, encode_multitask, encode_single
 from .errors import ConfigError, TrainingError
-from .models import ModelConfig, build_model, multitask_loss
+from .models import ModelConfig, build_model
 from .textenc import build_vocab, random_embeddings
 
 EXPERIMENT_KINDS = ("mtl_vs_stl", "architecture_control", "shared_info_control",
@@ -119,7 +119,8 @@ def _infer(model, data, indices, batch_size, with_loss=False, with_logits=False)
         sel = indices[lo:lo + batch_size]
         heads = model.forward(data.images[sel], data.ids[sel])
         if with_loss:
-            loss += float(multitask_loss(heads, data.targets[sel], data.mask[sel]).data)
+            loss += float(softmax_cross_entropy_masked(heads, data.targets[sel],
+                                                       data.mask[sel]).data)
         preds.append(np.stack([np.argmax(lg.data, axis=1) for lg in heads], axis=1))
         if with_logits:
             logits.append(np.stack([lg.data for lg in heads], axis=1))

@@ -217,25 +217,11 @@ class Model:
     def loss(self, images, ids, targets, mask):
         """Summed masked cross entropy over all heads (no batch averaging)."""
         logits = self.forward(images, ids)
-        return multitask_loss(logits, targets, mask), logits
+        return ad.softmax_cross_entropy_masked(logits, targets, mask), logits
 
     def logits_array(self, images, ids):
         logits = self.forward(images, ids)
         return np.stack([lg.data for lg in logits], axis=1)
-
-
-def multitask_loss(logits, targets, mask):
-    """Sum of masked softmax cross entropy across all answer heads.
-
-    targets/mask: (batch, n_heads) arrays; column h belongs to head h.
-    """
-    targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=bool)
-    n_heads = len(logits)
-    if targets.shape[1] != n_heads or mask.shape[1] != n_heads:
-        raise ShapeError("multitask_loss: targets/mask columns must match head count")
-    return ad.softmax_cross_entropy_masked(
-        logits, [targets[:, h] for h in range(n_heads)], [mask[:, h] for h in range(n_heads)])
 
 
 def build_model(variant, config, embedding, seed=0):

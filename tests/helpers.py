@@ -152,15 +152,43 @@ def op_case_embedding(rng):
 
 
 def op_case_softmax_ce(rng):
-    x, m, b = _p(rng, (3, 4), "x"), _p(rng, (4, 5), "m"), _p(rng, (5,), "b")
-    targets = rng.integers(0, 5, size=3)
-    mask = np.array([True, bool(rng.integers(0, 2)), True])
+    # three heads over one input, so x collects the stacked backward of all
+    # of them; one slot is masked
+    x = _p(rng, (3, 4), "x")
+    heads = [(_p(rng, (4, 5), f"m{h}"), _p(rng, (5,), f"b{h}")) for h in range(3)]
+    targets = rng.integers(0, 5, size=(3, 3))
+    mask = np.ones((3, 3), dtype=bool)
+    mask[rng.integers(0, 3), rng.integers(0, 3)] = False
 
     def fn():
-        logits = ad.affine(x, m, b)
-        return ad.softmax_cross_entropy_masked([logits], [targets], [mask])
+        logits = [ad.affine(x, m, b) for m, b in heads]
+        return ad.softmax_cross_entropy_masked(logits, targets, mask)
 
-    return fn, [x, m, b]
+    return fn, [x] + [p for head in heads for p in head]
+
+
+def softmax_ce_reference(logits, targets, mask, g):
+    """Masked cross entropy and its gradient as the engine computed them
+    before the loss stacked its heads: one plain-numpy pass per (batch,
+    answers) head of `logits`, reading column h of the (batch, heads)
+    `targets` and `mask`, with the head sums added in head order.  Returns
+    the value and each head's gradient for the upstream gradient `g`."""
+    total = np.float64(0.0)
+    grads = []
+    for h, z in enumerate(logits):
+        tg, mk = targets[:, h], mask[:, h]
+        rows = np.arange(z.shape[0])
+        zmax = z.max(axis=1, keepdims=True)
+        ez = np.exp(z - zmax)
+        sez = ez.sum(axis=1)
+        safe = np.where(mk, tg, 0)
+        ce = np.log(sez) + zmax[:, 0] - z[rows, safe]
+        total = total + np.where(mk, ce, 0.0).sum()
+        d = ez / sez[:, None]
+        d[rows, safe] -= 1.0
+        d *= mk[:, None].astype(np.float64)
+        grads.append(d * g + 0.0)
+    return total, grads
 
 
 def op_case_lstm_sequence(rng):

@@ -308,8 +308,7 @@ def test_criterion_7_shared_information_mechanism():
     model, _ = harness.train(model, iso_train, tcfg)
 
     isolated_examples = isolate_slots(bundle.test_combined)
-    rebuilt = [MultiTaskExample(image_id=ex.image_id, slots=tuple(ex.slots))
-               for ex in isolated_examples]
+    rebuilt = [MultiTaskExample(tuple(ex.slots)) for ex in isolated_examples]
     enc_isolated = bundle.encode_combined(isolated_examples)
     enc_rebuilt = bundle.encode_combined(rebuilt)
     logits_a = harness.prediction_logits(model, enc_isolated)

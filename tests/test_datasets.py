@@ -50,7 +50,7 @@ def test_encode_multitask_layout(setup):
 
 def test_encode_multitask_padded_slots(setup):
     combined, vocab, avocab, features = setup
-    one_slot = [type(combined[0])(image_id="a", slots=(combined[0].slots[0],))]
+    one_slot = [type(combined[0])((combined[0].slots[0],))]
     enc = encode_multitask(one_slot, TASKS, vocab, avocab, 4, features)
     assert enc.mask[0, 0] and not enc.mask[0, 1]
     assert enc.targets[0, 1] == -1

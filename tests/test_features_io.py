@@ -1,10 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtvqa.corpus import (
+    ALL_TYPES,
     FeatureStore,
     LabeledQuestion,
+    MultiTaskExample,
     QuestionType,
     RawQuestion,
     load_features,
@@ -144,3 +147,40 @@ def test_multitask_malformed_line_reports_position(tmp_path):
     path.write_text("mtvqa-multitask v1 colour,count\nimg1\tonly one field\n")
     with pytest.raises(FormatError, match=":2"):
         cio.read_multitask(path)
+
+
+def test_multitask_line_without_a_filled_slot_names_the_line(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("mtvqa-multitask v1 colour,count\nimg1\tred\tx\t\t\nimg2\t\t\t\t\n")
+    with pytest.raises(FormatError, match=r"bad\.tsv:3: .*no filled slot"):
+        cio.read_multitask(path)
+
+
+_WORDS = st.text("abcxyz019-'?", min_size=1, max_size=5)
+
+
+@st.composite
+def _multitask_examples(draw):
+    tasks = tuple(draw(st.lists(st.sampled_from(ALL_TYPES), min_size=1, max_size=4,
+                                unique=True)))
+    examples = []
+    for _ in range(draw(st.integers(0, 6))):
+        image_id = draw(_WORDS)
+        filled = draw(st.lists(st.sampled_from(tasks), min_size=1, unique=True))
+        examples.append(MultiTaskExample(tuple(
+            LabeledQuestion(image_id, tuple(draw(st.lists(_WORDS, min_size=1, max_size=4))),
+                            draw(_WORDS), t)
+            for t in tasks if t in filled)))
+    return examples, tasks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multitask_examples())
+def test_multitask_write_read_round_trips(tmp_path_factory, case):
+    examples, tasks = case
+    path = tmp_path_factory.mktemp("rt") / "combined.tsv"
+    cio.write_multitask(path, examples, tasks)
+    loaded, loaded_tasks = cio.read_multitask(path)
+    assert loaded_tasks == tasks
+    assert loaded == examples
+    assert [ex.image_id for ex in loaded] == [ex.image_id for ex in examples]

@@ -43,8 +43,8 @@ def small_cfg(bundle):
 def test_max_len_comes_from_the_training_half():
     base = synthetic_bundle(6, 2, seed=1)
     assert base.max_len == 5
-    long_q = MultiTaskExample("img99999", (LabeledQuestion("img99999", ("what",) * 9, "red",
-                                                           base.tasks[0]),))
+    long_q = MultiTaskExample((LabeledQuestion("img99999", ("what",) * 9, "red",
+                                               base.tasks[0]),))
     bundle = harness.bundle_from_examples(base.train_combined,
                                           base.test_combined + [long_q],
                                           base.features, base.tasks)

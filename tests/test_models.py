@@ -14,7 +14,6 @@ from mtvqa.models import (
     _distinct_rows,
     build_model,
     load_model,
-    multitask_loss,
     save_model,
 )
 
@@ -110,26 +109,6 @@ def test_vqateam_zero_image_annihilates_questions():
 def test_vqateam_mtl_classifier_input_width():
     model = tiny_model("vqateam_mtl", common_dim=64, classifier_dims=(10,))
     assert model.params["clf.0.W"].data.shape[0] == 4 * 64
-
-
-def test_multitask_loss_additivity():
-    rng = np.random.default_rng(5)
-    raw = rng.normal(size=(2, 6))
-    lg = ad.constant(raw)
-    targets = np.array([[1, 1], [4, 4]])
-    both = multitask_loss([lg, ad.constant(raw)], targets, np.ones((2, 2), dtype=bool))
-    single = multitask_loss([ad.constant(raw)], targets[:, :1], np.ones((2, 1), dtype=bool))
-    npt.assert_allclose(float(both.data), 2 * float(single.data), rtol=1e-12)
-
-
-def test_multitask_loss_masked_head_equals_unmasked_head_alone():
-    rng = np.random.default_rng(6)
-    a, b = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
-    targets = np.array([[0, -1], [3, -1]])
-    mask = np.array([[True, False], [True, False]])
-    two = multitask_loss([ad.constant(a), ad.constant(b)], targets, mask)
-    one = multitask_loss([ad.constant(a)], targets[:, :1], mask[:, :1])
-    npt.assert_allclose(float(two.data), float(one.data), rtol=1e-12)
 
 
 def test_masked_head_parameters_get_exactly_zero_gradient():

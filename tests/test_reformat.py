@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtvqa.corpus import (
     ALL_TYPES,
@@ -88,6 +91,22 @@ def test_counts_match_brute_force_oracle():
         per_image[ex.image_id] = per_image.get(ex.image_id, 0) + 1
     for grp in groups:
         assert per_image.get(grp.image_id, 0) == brute_force_expected_count(grp, tasks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=8))
+def test_examples_per_image_are_the_product_of_its_type_counts(per_image_counts):
+    # image i holds counts[j] questions of type j; it yields the product of
+    # its nonzero counts when two or more types are present, else nothing
+    tasks = (C, N, P, S)
+    qs = [q(f"img{i:03d}", t, f"text {t.value} {k}", f"ans{k}")
+          for i, counts in enumerate(per_image_counts)
+          for t, n in zip(tasks, counts) for k in range(n)]
+    examples = reformat_multitask(group_by_image(qs), tasks)
+    for i, counts in enumerate(per_image_counts):
+        present = [n for n in counts if n]
+        want = math.prod(present) if len(present) >= 2 else 0
+        assert sum(ex.image_id == f"img{i:03d}" for ex in examples) == want
 
 
 def test_slot_multiset_equals_qualifying_questions():

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import zlib
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError, TrainingError
 
-from helpers import (OP_CASES, conv1d_reference, max_over_time_reference, tiny_model,
-                     weighted_sum)
+from helpers import (OP_CASES, conv1d_reference, max_over_time_reference,
+                     softmax_ce_reference, tiny_model, weighted_sum)
 
 
 def test_affine_identity_passthrough():
@@ -126,6 +127,31 @@ def test_embedding_gradient_matches_add_at(ids):
     npt.assert_array_equal(table.grad[0], np.zeros(3))
 
 
+def test_embedding_twice_into_a_preset_gradient_matches_add_at():
+    # one table looked up twice in one graph adds both lookups' rows into a
+    # gradient that already holds values (as the packed store's does); the
+    # values are multiples of 1/4, so every order of the sums is exact
+    rng = np.random.default_rng(11)
+    table = ad.parameter(rng.normal(size=(6, 3)), "table")
+    mask = np.ones((6, 3), dtype=bool)
+    mask[0] = False
+    table.grad_mask = mask
+    preset = rng.integers(-8, 9, size=(6, 3)) / 4.0
+    preset[0] = 0.0
+    table.grad = preset.copy()
+    ids_a = np.array([[3, 0, 3], [1, 4, 3]])
+    ids_b = np.array([[0, 4, 5], [4, 4, 2]])
+    upstream = rng.integers(-8, 9, size=(2, 3, 6)) / 4.0
+    both = ad.concat([ad.embedding(table, ids_a), ad.embedding(table, ids_b)])
+    weighted_sum(both, upstream).backward()
+    want = preset.copy()
+    np.add.at(want, ids_a.reshape(-1), upstream[..., :3].reshape(-1, 3))
+    np.add.at(want, ids_b.reshape(-1), upstream[..., 3:].reshape(-1, 3))
+    want[0] = 0.0
+    assert table.grad.tobytes() == want.tobytes()
+    assert not table.grad[0].view(np.uint64).any()
+
+
 def test_gradient_accumulates_over_reuse():
     x = ad.parameter(np.array([2.0]), "x")
     y = ad.mul(x, x)  # x^2 reaches x twice, dy/dx = 2x = 4
@@ -140,6 +166,17 @@ def test_second_backward_raises():
     with pytest.raises(TrainingError, match="already backpropagated"):
         loss.backward()
     npt.assert_array_equal(x.grad, [4.0])
+
+
+# leaf constructors and the public names that build no graph node
+_NOT_OPERATORS = {"parameter", "constant", "zero_grads", "check_gradients",
+                  "load_checkpoint", "save_checkpoint"}
+
+
+def test_every_operator_has_a_gradient_case():
+    # criterion 1 and the test below check exactly the operators in OP_CASES
+    ops = {n for n in ad.__all__ if inspect.isfunction(getattr(ad, n))}
+    assert ops - _NOT_OPERATORS == set(OP_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -199,13 +236,13 @@ def test_backward_requires_scalar():
 def test_masked_ce_examples():
     # uniform logits over 4 classes, one unmasked head
     out = ad.softmax_cross_entropy_masked([ad.constant(np.zeros((1, 4)))],
-                                          [np.array([2])], [np.array([True])])
+                                          np.array([[2]]), np.array([[True]]))
     npt.assert_allclose(float(out.data), np.log(4.0), rtol=1e-12)
 
     # all heads masked: zero loss, exactly-zero gradients
     lg = ad.parameter(np.random.default_rng(3).normal(size=(2, 4)), "lg")
-    out = ad.softmax_cross_entropy_masked([lg], [np.array([-1, -1])],
-                                          [np.array([False, False])])
+    out = ad.softmax_cross_entropy_masked([lg], np.array([[-1], [-1]]),
+                                          np.array([[False], [False]]))
     out.backward()
     assert float(out.data) == 0.0
     assert np.all(lg.grad == 0.0)
@@ -218,53 +255,116 @@ def test_masked_ce_scalar_oracle():
     denom = sum(math.exp(v) for v in z)
     expected = -math.log(math.exp(z[0]) / denom)
     out = ad.softmax_cross_entropy_masked([ad.constant(np.array([z]))],
-                                          [np.array([0])], [np.array([True])])
+                                          np.array([[0]]), np.array([[True]]))
     npt.assert_allclose(float(out.data), expected, rtol=1e-12)
 
 
 def test_masked_ce_gradient_rows_sum_to_zero():
     rng = np.random.default_rng(4)
     lg = ad.parameter(rng.normal(size=(3, 5)), "lg")
-    targets = np.array([0, 3, 2])
-    mask = np.array([True, False, True])
-    ad.softmax_cross_entropy_masked([lg], [targets], [mask]).backward()
+    targets = np.array([[0], [3], [2]])
+    mask = np.array([[True], [False], [True]])
+    ad.softmax_cross_entropy_masked([lg], targets, mask).backward()
     row_sums = lg.grad.sum(axis=1)
-    npt.assert_allclose(row_sums[mask], 0.0, atol=1e-12)
+    npt.assert_allclose(row_sums[mask[:, 0]], 0.0, atol=1e-12)
     assert np.all(lg.grad[1] == 0.0)
+
+
+def test_masked_ce_heads_add():
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(2, 6))
+    lg = ad.constant(raw)
+    targets = np.array([[1, 1], [4, 4]])
+    both = ad.softmax_cross_entropy_masked([lg, ad.constant(raw)], targets,
+                                           np.ones((2, 2), dtype=bool))
+    single = ad.softmax_cross_entropy_masked([ad.constant(raw)], targets[:, :1],
+                                             np.ones((2, 1), dtype=bool))
+    npt.assert_allclose(float(both.data), 2 * float(single.data), rtol=1e-12)
+
+
+def test_masked_ce_masked_head_equals_unmasked_head_alone():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+    targets = np.array([[0, -1], [3, -1]])
+    mask = np.array([[True, False], [True, False]])
+    two = ad.softmax_cross_entropy_masked([ad.constant(a), ad.constant(b)], targets, mask)
+    one = ad.softmax_cross_entropy_masked([ad.constant(a)], targets[:, :1], mask[:, :1])
+    npt.assert_allclose(float(two.data), float(one.data), rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_masked_ce_matches_the_per_head_reference_bit_for_bit(data):
+    # the stacked pass gives the value and every head's gradient of one
+    # numpy pass per head, under the 1/batch root gradient training sets
+    bsz = data.draw(st.integers(1, 40), label="rows")
+    n_heads = data.draw(st.integers(1, 5), label="heads")
+    k = data.draw(st.integers(2, 39), label="answers")
+    logits = [data.draw(arrays(np.float64, (bsz, k), elements=st.floats(-30, 30)))
+              for _ in range(n_heads)]
+    mask = data.draw(arrays(bool, (bsz, n_heads)))
+    targets = np.where(mask, data.draw(arrays(np.int64, (bsz, n_heads),
+                                              elements=st.integers(0, k - 1))), -1)
+    lgs = [ad.parameter(z, "lg") for z in logits]
+    out = ad.softmax_cross_entropy_masked(lgs, targets, mask)
+    out.grad = np.float64(1.0 / bsz)
+    out.backward()
+    want, want_grads = softmax_ce_reference(logits, targets, mask, np.float64(1.0 / bsz))
+    assert out.data.tobytes() == want.tobytes()
+    for lg, g in zip(lgs, want_grads):
+        assert lg.grad.tobytes() == g.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_masked_rows_add_bit_zero_loss_and_gradient(data):
-    # rewriting the logits and targets of masked rows leaves the loss and
-    # every gradient bit-identical, and masked rows get all-zero-bit gradient
+    # rewriting the logits and targets of masked slots leaves the loss and
+    # every gradient bit-identical, and masked slots get all-zero-bit
+    # gradient; the heads share one answer width, as a model's heads do
     bsz = data.draw(st.integers(1, 6), label="rows")
+    n_heads = data.draw(st.integers(1, 4), label="heads")
+    k = data.draw(st.integers(2, 6), label="classes")
+    mask = data.draw(arrays(bool, (bsz, n_heads)))
+    targets = data.draw(arrays(np.int64, (bsz, n_heads), elements=st.integers(0, k - 1)))
     plain, rewritten = [], []
-    for _ in range(data.draw(st.integers(1, 4), label="heads")):
-        k = data.draw(st.integers(2, 6), label="classes")
+    for h in range(n_heads):
         z = data.draw(arrays(np.float64, (bsz, k), elements=st.floats(-30, 30)))
         other = data.draw(arrays(np.float64, (bsz, k), elements=st.floats(-30, 30)))
-        tg = data.draw(arrays(np.int64, bsz, elements=st.integers(0, k - 1)))
-        mk = data.draw(arrays(bool, bsz))
-        plain.append((z, tg, mk))
-        rewritten.append((np.where(mk[:, None], z, other), np.where(mk, tg, -1), mk))
+        plain.append(z)
+        rewritten.append(np.where(mask[:, h, None], z, other))
 
-    def run(heads):
-        lgs = [ad.parameter(z, "lg") for z, _, _ in heads]
-        out = ad.softmax_cross_entropy_masked(lgs, [tg for _, tg, _ in heads],
-                                              [mk for _, _, mk in heads])
+    def run(logits, tg):
+        lgs = [ad.parameter(z, "lg") for z in logits]
+        out = ad.softmax_cross_entropy_masked(lgs, tg, mask)
         out.backward()
         return out.data, [lg.grad for lg in lgs]
 
-    loss, grads = run(plain)
-    loss2, grads2 = run(rewritten)
+    loss, grads = run(plain, targets)
+    loss2, grads2 = run(rewritten, np.where(mask, targets, -1))
     assert loss.tobytes() == loss2.tobytes()
-    for (_, _, mk), g, g2 in zip(plain, grads, grads2):
+    for h, (g, g2) in enumerate(zip(grads, grads2)):
         assert g.tobytes() == g2.tobytes()
-        assert not g[~mk].view(np.uint64).any()
+        assert not g[~mask[:, h]].view(np.uint64).any()
 
 
 def test_masked_ce_target_out_of_range():
     lg = ad.constant(np.zeros((1, 3)))
     with pytest.raises(TrainingError, match="out of range"):
-        ad.softmax_cross_entropy_masked([lg], [np.array([5])], [np.array([True])])
+        ad.softmax_cross_entropy_masked([lg], np.array([[5]]), np.array([[True]]))
+    # the first bad slot in head order is named; masked slots are never read
+    heads = [ad.constant(np.zeros((3, 3))) for _ in range(3)]
+    targets = np.array([[0, 0, -1], [0, 0, 9], [0, -1, 0]])
+    mask = np.array([[True, True, False], [True, True, True], [True, True, True]])
+    with pytest.raises(TrainingError, match="head 1, row 2"):
+        ad.softmax_cross_entropy_masked(heads, targets, mask)
+
+
+def test_masked_ce_rejects_heads_of_unequal_width_and_misshapen_targets():
+    a, b = ad.constant(np.zeros((2, 4))), ad.constant(np.zeros((2, 5)))
+    targets, mask = np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool)
+    with pytest.raises(ShapeError, match="softmax_cross_entropy_masked"):
+        ad.softmax_cross_entropy_masked([a, b], targets, mask)
+    with pytest.raises(ShapeError, match="softmax_cross_entropy_masked"):
+        ad.softmax_cross_entropy_masked([a, a], targets.T[:1], mask)
+    with pytest.raises(ShapeError, match="softmax_cross_entropy_masked"):
+        ad.softmax_cross_entropy_masked([a, a, a], targets, mask)
