@@ -5,6 +5,7 @@ from .tensor import (
     constant,
     conv1d,
     embedding,
+    gather_rows,
     max_over_time,
     mul,
     parameter,
@@ -19,7 +20,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "affine", "concat", "constant", "conv1d", "embedding",
-    "max_over_time", "mul", "parameter",
+    "gather_rows", "max_over_time", "mul", "parameter",
     "softmax_cross_entropy_masked", "tanh", "zero_grads",
     "lstm_sequence", "Nadam", "SgdMomentum", "GradCheckReport",
     "check_gradients", "load_checkpoint", "save_checkpoint",

@@ -27,9 +27,8 @@ def check_gradients(fn, params, tolerance=1e-4, step=1e-5, max_coords_per_param=
     `fn` must rebuild and return a scalar output tensor from the current
     values of `params` each time it is called.  Every coordinate of every
     parameter is perturbed by ±step unless `max_coords_per_param` caps the
-    number of (seeded, reproducible) sampled coordinates.  Coordinates under
-    a frozen `grad_mask` are skipped, since their analytic gradient is zero
-    by definition.  The error measure per coordinate is
+    number of (seeded, reproducible) sampled coordinates.  The error measure
+    per coordinate is
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     zero_grads(params)
@@ -44,12 +43,9 @@ def check_gradients(fn, params, tolerance=1e-4, step=1e-5, max_coords_per_param=
     for pi, (p, ga) in enumerate(zip(params, analytic)):
         flat = p.data.reshape(-1)
         gflat = ga.reshape(-1)
-        coords = np.arange(flat.size)
-        if p.grad_mask is not None:
-            coords = coords[p.grad_mask.reshape(-1)[coords]]
-        if max_coords_per_param is not None and coords.size > max_coords_per_param:
-            coords = rng.choice(coords, size=max_coords_per_param, replace=False)
-            coords.sort()
+        coords = range(flat.size)
+        if max_coords_per_param is not None and flat.size > max_coords_per_param:
+            coords = np.sort(rng.choice(flat.size, size=max_coords_per_param, replace=False))
         prm_max = 0.0
         for i in coords:
             orig = flat[i]

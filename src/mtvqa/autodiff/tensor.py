@@ -5,11 +5,12 @@ single `backward()` call on a scalar output fills `.grad` on every tensor
 that contributed to it.  The engine holds exactly the operators that the
 question-answering models and their training run: affine maps, valid 1-d
 convolution over token positions, max-over-time pooling, tanh,
-concatenation along the feature axis, elementwise product, row lookup
-(of word vectors, and of encoded questions, so a model encodes each
-distinct question once), a fused stacked LSTM (in `lstm.py`) and a masked
-softmax cross entropy over answer heads of one width, run as one stacked
-(heads, batch, answers) pass.  There is no broadcasting beyond what these
+concatenation along the feature axis, elementwise product, the word
+lookup (id 0 is padding: it reads zeros and its row takes no gradient), a
+generic row lookup (of encoded questions, so a model encodes each distinct
+question once), a fused stacked LSTM (in `lstm.py`) and a masked softmax
+cross entropy over answer heads of one width, run as one stacked (heads,
+batch, answers) pass.  There is no broadcasting beyond what these
 operators define internally.
 
 Every operator builds its output with `_node`, and no node refers to
@@ -27,21 +28,15 @@ from ..errors import ShapeError, TrainingError
 
 
 class Tensor:
-    """Node of the computation graph.
+    """Node of the computation graph."""
 
-    `grad_mask`, when set on a leaf, marks coordinates that must never
-    receive gradient (used to freeze the padding row of embedding tables).
-    """
-
-    __slots__ = ("data", "grad", "op", "name", "grad_mask",
-                 "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "op", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), op="leaf", name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.op = op
         self.name = name
-        self.grad_mask = None
         self._parents = tuple(parents)
         self._backward = None
 
@@ -119,13 +114,11 @@ def _toposort(root):
 
 
 def _accum(t, g, rows=...):
-    """Add `g` into `t.grad[rows]`, all of it by default, respecting a
-    frozen-coordinate mask.  Indexed rows must be distinct, so each gets its
-    `g` once; the embedding backward passes its touched rows and so builds
-    no array the size of its table.  A first gradient is `g + 0.0`, where
-    -0.0 reads +0.0 as in zeros + g, placed in zeros if `rows` is indexed."""
-    if t.grad_mask is not None:
-        g = np.where(t.grad_mask[rows], g, 0.0)
+    """Add `g` into `t.grad[rows]`, all of it by default.  Indexed rows must
+    be distinct, so each gets its `g` once; the row lookups pass their
+    touched rows and so build no array the size of their table.  A first
+    gradient is `g + 0.0`, where -0.0 reads +0.0 as in zeros + g, placed in
+    zeros if `rows` is indexed."""
     if t.grad is not None:
         t.grad[rows] += g
     elif rows is ...:
@@ -261,23 +254,39 @@ def concat(tensors):
 
 
 def embedding(table, ids):
-    """Look up rows of a 2-d `table` for an integer id array of any shape;
-    the output has shape `ids.shape + (table width,)`."""
+    """The word lookup: `gather_rows` with id 0 as padding, like PyTorch's
+    `nn.Embedding(padding_idx=0)`.  Id 0 reads exact zeros whatever row 0
+    holds, and row 0 takes no gradient."""
+    return _lookup(table, ids, "embedding", padding=True)
+
+
+def gather_rows(x, ids):
+    """Rows of a 2-d `x` for an integer id array of any shape; the output
+    has shape `ids.shape + (x width,)`, and the backward sums the gradient
+    per row."""
+    return _lookup(x, ids, "gather_rows", padding=False)
+
+
+def _lookup(table, ids, op, padding):
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
-        raise ShapeError(f"embedding: table must be 2-d, got {table.data.shape}")
+        raise ShapeError(f"{op}: table must be 2-d, got {table.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ShapeError("embedding: id out of range for table")
+        raise ShapeError(f"{op}: id out of range for table")
+    out = table.data[ids]
+    if padding:
+        out[ids == 0] = 0.0
 
     def _bw(g):  # sum the rows of g per id: stable sort, then one reduceat
         flat = ids.reshape(-1)
         order = np.argsort(flat, kind="stable")
         sid = flat[order]
-        starts = np.flatnonzero(np.diff(sid, prepend=-1))
+        # with padding, the sorted id-0 run starts no segment, so it adds nowhere
+        starts = np.flatnonzero(np.diff(sid, prepend=0 if padding else -1))
         sums = np.add.reduceat(g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
         _accum(table, sums, sid[starts])
 
-    return _node(table.data[ids], (table,), "embedding", _bw)
+    return _node(out, (table,), op, _bw)
 
 
 # ---------------------------------------------------------------------------

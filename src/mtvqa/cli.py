@@ -163,7 +163,7 @@ def _cmd_train(args):
     train_cfg = _train_config(args)
     model, history = harness.train(model, enc, train_cfg)
     extras = {"tokens": bundle.vocab.id_to_token,
-              "answers": bundle.answer_vocab.id_to_answer,
+              "answers": bundle.answer_vocab.id_to_token,
               "train_config": dataclasses.asdict(train_cfg)}
     models.save_model(args.out, model, binary=not args.text_checkpoint, extras=extras)
     if args.history:
@@ -181,10 +181,8 @@ def _cmd_eval(args):
     if not extras or "tokens" not in extras:
         raise ConfigError(f"{args.model}: checkpoint lacks vocabulary extras; "
                           "train it through this toolkit")
-    vocab = textenc.Vocabulary({t: i for i, t in enumerate(extras["tokens"])},
-                               list(extras["tokens"]))
-    avocab = datasets.AnswerVocab({a: i for i, a in enumerate(extras["answers"])},
-                                  list(extras["answers"]))
+    vocab = textenc.Vocabulary.of(extras["tokens"])
+    avocab = textenc.Vocabulary.of(extras["answers"])
     features = corpus.load_features(args.features)
     with open(args.data, "r", encoding="utf-8") as fh:
         head = fh.readline()

@@ -66,12 +66,15 @@ def _load_binary(path):
                 raise FormatError(f"{path}: missing feature header")
             dim = int(z["dim"])
             ids = [str(i) for i in z["ids"]]
-            mat = z["matrix"]
+            mat = z["matrix"].astype(np.float64)
     except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: malformed feature archive ({exc})") from exc
     if mat.shape != (len(ids), dim):
         raise FormatError(f"{path}: matrix shape {mat.shape} inconsistent with header")
-    return FeatureStore(vectors={i: mat[k].astype(np.float64) for k, i in enumerate(ids)},
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if len(bad):
+        raise FormatError(f"{path}: image {ids[bad[0]]!r} has a non-finite value")
+    return FeatureStore(vectors={i: mat[k] for k, i in enumerate(ids)},
                         feature_dim=dim)
 
 
@@ -94,7 +97,9 @@ def _load_text(path):
             raise FormatError(
                 f"{path}:{lineno}: record {image_id!r} has {len(vals)} values, expected {dim}")
         try:
-            vectors[image_id] = np.array([float(v) for v in vals], dtype=np.float64)
+            vectors[image_id] = np.array(vals, dtype=np.float64)
+            if not np.isfinite(vectors[image_id]).all():
+                raise ValueError("non-finite value")
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: record {image_id!r}: {exc}") from exc
     return FeatureStore(vectors=vectors, feature_dim=dim)

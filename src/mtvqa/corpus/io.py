@@ -76,12 +76,15 @@ def write_multitask(path, examples, tasks):
 
 
 def read_multitask(path):
-    """Returns (examples, tasks)."""
+    """Returns (examples, tasks); a header that repeats a task raises `FormatError`."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith(_MULTI_MAGIC):
         raise FormatError(f"{path}: missing multitask header")
     tasks = tuple(parse_qtype(t) for t in raw[0][len(_MULTI_MAGIC):].strip().split(","))
+    repeated = [t for i, t in enumerate(tasks) if t in tasks[:i]]
+    if repeated:
+        raise FormatError(f"{path}: header repeats question type {repeated[0].value}")
     examples = []
     for lineno, line in enumerate(raw[1:], start=2):
         if not line.strip():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from ..errors import ConfigError
 from .types import ImageGroup, MultiTaskExample
 
 
@@ -23,11 +24,15 @@ def reformat_multitask(groups, tasks):
     Images with questions in fewer than two distinct types contribute
     nothing; types a given image lacks are left as padded slots.  The
     per-image example count is the product of the per-present-type question
-    counts.
+    counts.  A task set of fewer than two types, or one that repeats a
+    type, raises `ConfigError`.
     """
     tasks = tuple(tasks)
+    repeated = [t for i, t in enumerate(tasks) if t in tasks[:i]]
+    if repeated:
+        raise ConfigError(f"question type {repeated[0].value} is repeated in the task set")
     if len(tasks) < 2:
-        raise ValueError("a multi-task set needs at least two question types")
+        raise ConfigError("a multi-task set needs at least two question types")
     examples = []
     for grp in groups:
         present = grp.present_types(tasks)

@@ -2,35 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .textenc import encode
-
-
-@dataclass
-class AnswerVocab:
-    """Answer label to class id, first-occurrence order, shared by all heads."""
-    answer_to_id: dict = field(default_factory=dict)
-    id_to_answer: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.id_to_answer)
-
-    def id_of(self, answer):
-        """-1 for answers outside the vocabulary (never predictable)."""
-        return self.answer_to_id.get(answer, -1)
-
-
-def build_answer_vocab(answers):
-    av = AnswerVocab()
-    for a in answers:
-        if a not in av.answer_to_id:
-            av.answer_to_id[a] = len(av.id_to_answer)
-            av.id_to_answer.append(a)
-    return av
 
 
 @dataclass

@@ -16,10 +16,10 @@ from .corpus.reformat import (
     reformat_multitask,
 )
 from .corpus.synthetic import SyntheticSceneConfig, gen_synthetic_corpus
-from .datasets import build_answer_vocab, encode_multitask, encode_single
+from .datasets import encode_multitask, encode_single
 from .errors import ConfigError, TrainingError
 from .models import ModelConfig, build_model
-from .textenc import build_vocab, random_embeddings
+from .textenc import Vocabulary, build_vocab, random_embeddings
 
 EXPERIMENT_KINDS = ("mtl_vs_stl", "architecture_control", "shared_info_control",
                     "vqateam_compare")
@@ -305,8 +305,8 @@ class CorpusBundle:
     train_combined: list
     test_combined: list
     features: "FeatureStore"
-    vocab: "Vocabulary"
-    answer_vocab: "AnswerVocab"
+    vocab: Vocabulary
+    answer_vocab: Vocabulary
     max_len: int
 
     def encode_combined(self, examples):
@@ -324,7 +324,7 @@ def bundle_from_examples(train_combined, test_combined, features, tasks):
     truncated when encoded)."""
     train_tokens = [q.tokens for ex in train_combined for q in ex.slots]
     vocab = build_vocab(train_tokens)
-    answer_vocab = build_answer_vocab(q.answer for ex in train_combined for q in ex.slots)
+    answer_vocab = Vocabulary.of(q.answer for ex in train_combined for q in ex.slots)
     max_len = min(25, max(map(len, train_tokens))) if train_tokens else 25
     return CorpusBundle(tasks=tuple(tasks), train_combined=train_combined,
                         test_combined=test_combined, features=features,

@@ -196,7 +196,7 @@ class Model:
         n, n_heads, max_len = ids.shape
         rows, inv = _distinct_rows(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len))
         enc = encode(rows)
-        return [ad.embedding(enc, head) for head in inv.reshape(n_heads, n)]
+        return [ad.gather_rows(enc, head) for head in inv.reshape(n_heads, n)]
 
     def encode_question_conv(self, ids2d):
         seq = ad.embedding(self.params["embedding"], ids2d)
@@ -228,7 +228,7 @@ def build_model(variant, config, embedding, seed=0):
     """Construct a freshly initialized model.
 
     `embedding` is a (config.vocab_size, config.embed_dim) array; it is
-    copied into the model parameters.
+    copied into the model parameters, where its padding row 0 is never read.
     """
     if variant not in _FAMILY:
         raise ConfigError(f"unknown model variant {variant!r}")
@@ -248,12 +248,7 @@ def build_model(variant, config, embedding, seed=0):
     def add_param(name, data):
         params[name] = ad.parameter(data, name)
 
-    emb = ad.parameter(embedding.copy(), "embedding")
-    emb.data[0] = 0.0  # padding row pinned to zero
-    mask = np.ones_like(emb.data, dtype=bool)
-    mask[0] = False
-    emb.grad_mask = mask
-    params["embedding"] = emb
+    add_param("embedding", embedding)
 
     cfg = config
     if conv:

@@ -1,13 +1,15 @@
 """Vocabulary construction, embedding loading and fixed-length encoding.
 
-Id 0 is the padding id everywhere.  An absent or empty question encodes to
-all-padding ids, and because the padding embedding row is pinned to zero it
-embeds to an exactly-zero input sequence.
+Id 0 is the padding id of the word vocabulary.  `encode` writes it for
+padding positions and unknown words, and the engine's word lookup
+(`autodiff.embedding`) reads it as an exactly-zero vector, so an absent or
+empty question embeds to an exactly-zero input sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -19,28 +21,27 @@ PAD_TOKEN = "<pad>"
 
 @dataclass
 class Vocabulary:
+    """Item to id in first-occurrence order; numbers words and answers alike."""
     token_to_id: dict = field(default_factory=dict)
     id_to_token: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, items):
+        id_to_token = list(dict.fromkeys(items))
+        return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
     def __len__(self):
         return len(self.id_to_token)
 
-    def __contains__(self, token):
-        return token in self.token_to_id
-
     def id_of(self, token):
-        return self.token_to_id.get(token, PAD_ID)
+        """-1 for an item outside the vocabulary."""
+        return self.token_to_id.get(token, -1)
 
 
 def build_vocab(corpora):
-    """Assign ids in first-occurrence order starting at 1 (0 is padding)."""
-    vocab = Vocabulary({PAD_TOKEN: PAD_ID}, [PAD_TOKEN])
-    for tokens in corpora:
-        for tok in tokens:
-            if tok not in vocab.token_to_id:
-                vocab.token_to_id[tok] = len(vocab.id_to_token)
-                vocab.id_to_token.append(tok)
-    return vocab
+    """The word vocabulary: padding is id 0, then each token of `corpora`
+    in first-occurrence order."""
+    return Vocabulary.of(chain([PAD_TOKEN], *corpora))
 
 
 def _oov_row(rng, embed_dim):
@@ -104,7 +105,7 @@ def encode(tokens, vocab, max_len):
         raise ValueError("max_len must be >= 1")
     ids = np.zeros(max_len, dtype=np.int64)
     for i, tok in enumerate(tokens[:max_len]):
-        ids[i] = vocab.id_of(tok)
+        ids[i] = vocab.token_to_id.get(tok, PAD_ID)
     return ids
 
 

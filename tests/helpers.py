@@ -151,6 +151,13 @@ def op_case_embedding(rng):
     return lambda: weighted_sum(ad.embedding(table, ids), w), [table]
 
 
+def op_case_gather_rows(rng):
+    x = _p(rng, (5, 3), "x")
+    ids = rng.integers(0, 5, size=(2, 4))
+    w = rng.normal(size=(2, 4, 3))
+    return lambda: weighted_sum(ad.gather_rows(x, ids), w), [x]
+
+
 def op_case_softmax_ce(rng):
     # three heads over one input, so x collects the stacked backward of all
     # of them; one slot is masked
@@ -234,6 +241,7 @@ OP_CASES = {
     "max_over_time": op_case_max_over_time,
     "concat": op_case_concat,
     "embedding": op_case_embedding,
+    "gather_rows": op_case_gather_rows,
     "softmax_cross_entropy_masked": op_case_softmax_ce,
     "lstm_sequence": op_case_lstm_sequence,
 }

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mtvqa.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from mtvqa.errors import FormatError
@@ -101,3 +103,31 @@ def test_malformed_binary_checkpoint_raises_format_error(case, tmp_path, params)
                      arr_0=np.zeros(2))
     with pytest.raises(FormatError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+# parameter names as models spell them ("conv.shared.w2.W", "head.colour.b")
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyzWb0123456789.", min_size=1, max_size=12)
+# every float64 but NaN: -0.0, subnormals and +-inf included
+_ARRAYS = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                 elements=st.floats(allow_nan=False))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_NAMES, _ARRAYS), max_size=5, unique_by=lambda t: t[0]), _JSON,
+       st.booleans())
+def test_round_trip_keeps_names_order_shapes_bits_and_config(tmp_path_factory, named, config,
+                                                            binary):
+    params = dict(named)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, params, config=config, binary=binary)
+    loaded, cfg = load_checkpoint(path)
+    assert cfg == config
+    assert list(loaded) == list(params)
+    for name, arr in params.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes(), name

@@ -49,6 +49,18 @@ def test_synth_and_reformat_outputs(pipeline_dir):
         assert (data / name).exists()
 
 
+@pytest.mark.parametrize("tasks, message", [("colour,colour", "colour is repeated"),
+                                            ("colour", "at least two")])
+def test_reformat_rejects_a_bad_task_set_with_one_error_line(pipeline_dir, capsys, tmp_path,
+                                                             tasks, message):
+    code, _, err = run(capsys, "reformat", "--labeled",
+                       str(pipeline_dir / "corpus" / "labeled.tsv"),
+                       "--out", str(tmp_path / "data"), "--tasks", tasks)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "data").exists()
+
+
 def test_stats_prints_example_count(pipeline_dir, capsys):
     code, out, _ = run(capsys, "stats", "--data",
                        str(pipeline_dir / "data" / "multitask.tsv"))

@@ -12,10 +12,10 @@ from mtvqa.corpus import (
     reformat_multitask,
 )
 from mtvqa.corpus import io as cio
-from mtvqa.datasets import build_answer_vocab, encode_multitask, encode_single
+from mtvqa.datasets import encode_multitask, encode_single
 from mtvqa.errors import FormatError
 from mtvqa.harness import synthetic_bundle
-from mtvqa.textenc import build_vocab, encode
+from mtvqa.textenc import Vocabulary, build_vocab, encode
 
 from helpers import question_ids_reference
 
@@ -31,7 +31,7 @@ def setup():
           LabeledQuestion("b", ("how", "many", "again"), "3", N)]
     combined = reformat_multitask(group_by_image(qs), TASKS)
     vocab = build_vocab([q.tokens for q in qs])
-    avocab = build_answer_vocab(q.answer for q in qs)
+    avocab = Vocabulary.of(q.answer for q in qs)
     features = FeatureStore(vectors={"a": np.array([1.0, 0.0]),
                                      "b": np.array([0.0, 1.0])}, feature_dim=2)
     return combined, vocab, avocab, features
@@ -66,7 +66,7 @@ def test_each_row_holds_its_own_questions_encoding():
           LabeledQuestion("b", ("what", "colour", "is", "the", "cup"), "red", C),
           LabeledQuestion("b", ("how", "many", "zebras"), "0", N)]
     vocab = build_vocab([q.tokens for q in qs[:3]])  # "zebras" is unknown
-    avocab = build_answer_vocab(q.answer for q in qs)
+    avocab = Vocabulary.of(q.answer for q in qs)
     features = FeatureStore(vectors={"a": np.zeros(2), "b": np.ones(2)}, feature_dim=2)
     combined = reformat_multitask(group_by_image(qs), TASKS)
     assert len(combined) == 5  # image a repeats each of its questions twice
@@ -93,7 +93,7 @@ def test_encode_single_types_vary(setup):
 
 def test_unknown_answer_maps_to_minus_one(setup):
     combined, vocab, _, features = setup
-    small = build_answer_vocab(["red"])
+    small = Vocabulary.of(["red"])
     enc = encode_multitask(combined, TASKS, vocab, small, 4, features)
     assert enc.targets[0, 0] == 0
     assert enc.targets[0, 1] == -1  # "2" unseen

@@ -64,6 +64,24 @@ def test_feature_non_numeric_value_names_path_and_line(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_feature_text_non_finite_value_names_path_and_line(tmp_path, value):
+    path = tmp_path / "f.feat"
+    path.write_text(f"mtvqa-feat v1 2\nimg0 1 2\nimg1 0.5 {value}\n")
+    with pytest.raises(FormatError, match=r"f\.feat:3: record 'img1': non-finite"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_archive_non_finite_value_names_image(tmp_path, value):
+    store = FeatureStore(vectors={"img0": np.zeros(2), "img1": np.array([0.5, value])},
+                         feature_dim=2)
+    path = tmp_path / "f.npz"
+    save_features(path, store, binary=True)
+    with pytest.raises(FormatError, match=r"f\.npz: image 'img1' has a non-finite value"):
+        load_features(path)
+
+
 @pytest.mark.parametrize("drop", ["magic", "dim", "ids", "matrix"])
 def test_feature_archive_missing_member_names_path(tmp_path, drop):
     members = {"magic": np.array("mtvqa-feat v1"), "dim": np.array(2),
@@ -120,6 +138,13 @@ def test_multitask_header_required(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("nope\n")
     with pytest.raises(FormatError, match="header"):
+        cio.read_multitask(path)
+
+
+def test_multitask_header_repeating_a_task_names_it(tmp_path):
+    path = tmp_path / "x.tsv"
+    path.write_text("mtvqa-multitask v1 colour,count,colour\nimg1\tred\tx\t\t\t\t\n")
+    with pytest.raises(FormatError, match=r"x\.tsv: header repeats question type colour"):
         cio.read_multitask(path)
 
 

@@ -286,11 +286,27 @@ def test_load_rejects_bad_embedding_like_any_parameter(tmp_path, fault):
         load_model(path)
 
 
-def test_embedding_pad_row_pinned():
-    model = tiny_model("mtl_simple")
-    emb = model.params["embedding"]
-    npt.assert_array_equal(emb.data[0], np.zeros(model.config.embed_dim))
-    assert emb.grad_mask is not None and not emb.grad_mask[0].any()
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_embedding_row_0_is_never_read(variant):
+    # padding id 0 reads zeros whatever row 0 holds, so random values there
+    # change no logit and no other gradient, and row 0 takes no gradient
+    rng = np.random.default_rng(4)
+    images, ids = _batch(tiny_model(variant), rng, batch=4)
+    ids[:, :, -1] = 0
+    ids[0, 0] = 0
+    targets = rng.integers(0, 3, size=ids.shape[:2])
+    mask = np.ones(ids.shape[:2], dtype=bool)
+    runs = []
+    for row0 in (np.zeros(3), rng.normal(size=3)):
+        model = tiny_model(variant)
+        model.params["embedding"].data[0] = row0
+        loss, logits = model.loss(images, ids, targets, mask)
+        loss.backward()
+        runs.append([lg.data.tobytes() for lg in logits]
+                    + [p.grad.tobytes() for n, p in model.params.items() if n != "embedding"]
+                    + [model.params["embedding"].grad[1:].tobytes()])
+        assert not model.params["embedding"].grad[0].view(np.uint64).any()
+    assert runs[0] == runs[1]
 
 
 def test_vqateam_stl_matches_scalar_trace():

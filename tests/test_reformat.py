@@ -14,6 +14,7 @@ from mtvqa.corpus import (
     isolate_slots,
     reformat_multitask,
 )
+from mtvqa.errors import ConfigError
 
 C, N, P, S = (QuestionType.COLOUR, QuestionType.COUNT,
               QuestionType.POSITION, QuestionType.SIZE)
@@ -143,8 +144,14 @@ def test_every_example_has_at_least_two_slots():
 
 
 def test_reformat_requires_two_tasks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="at least two"):
         reformat_multitask([], (C,))
+
+
+def test_reformat_rejects_a_repeated_task():
+    groups = group_by_image([q("a", C, "what colour", "red"), q("a", N, "how many", "2")])
+    with pytest.raises(ConfigError, match="colour is repeated"):
+        reformat_multitask(groups, (C, N, C))
 
 
 def test_flatten_matches_set_union_oracle():

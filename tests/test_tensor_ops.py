@@ -94,15 +94,25 @@ def test_embedding_rows_and_scatter():
     npt.assert_array_equal(table.grad[2], np.zeros(3))
 
 
-def test_embedding_grad_mask_freezes_row():
-    table = ad.parameter(np.ones((3, 2)), "table")
-    mask = np.ones((3, 2), dtype=bool)
-    mask[0] = False
-    table.grad_mask = mask
-    out = ad.embedding(table, np.array([[0, 1]]))
-    weighted_sum(out, np.ones((1, 2, 2))).backward()
-    npt.assert_array_equal(table.grad[0], np.zeros(2))
-    npt.assert_array_equal(table.grad[1], np.full(2, 1.0))
+@pytest.mark.parametrize("ids", [
+    np.array([[0, 1], [2, 0]]),
+    np.zeros((2, 3), dtype=np.int64),  # all padding
+    np.zeros((0, 4), dtype=np.int64),  # no rows
+], ids=["mixed", "all_padding", "empty"])
+def test_embedding_reads_padding_as_zeros_and_gives_row_0_no_gradient(ids):
+    rng = np.random.default_rng(ids.size)
+    table = ad.parameter(rng.normal(size=(3, 2)), "table")
+    out = ad.embedding(table, ids)
+    assert out.data.shape == ids.shape + (2,)
+    assert not out.data[ids == 0].view(np.uint64).any()  # +0.0 bits, whatever row 0 holds
+    npt.assert_array_equal(out.data[ids != 0], table.data[ids[ids != 0]])
+    weighted_sum(out, rng.normal(size=ids.shape + (2,))).backward()
+    assert not table.grad[0].view(np.uint64).any()
+
+
+# the word lookup and the generic row gather share one backward; only the
+# word lookup leaves padding row 0 out of it
+_LOOKUPS = ((ad.embedding, True), (ad.gather_rows, False))
 
 
 @pytest.mark.parametrize("ids", [
@@ -113,43 +123,42 @@ def test_embedding_grad_mask_freezes_row():
     np.array([4, 1, 4, 0]),                   # 1-d ids, as a row gather passes
 ], ids=["repeated", "one_id", "padding", "empty", "one_dim"])
 def test_embedding_gradient_matches_add_at(ids):
-    rng = np.random.default_rng(ids.size)
-    table = ad.parameter(rng.normal(size=(6, 3)), "table")
-    mask = np.ones((6, 3), dtype=bool)
-    mask[0] = False
-    table.grad_mask = mask
-    upstream = rng.normal(size=ids.shape + (3,))
-    weighted_sum(ad.embedding(table, ids), upstream).backward()
-    want = np.zeros((6, 3))
-    np.add.at(want, ids.reshape(-1), upstream.reshape(-1, 3))
-    want[0] = 0.0
-    npt.assert_allclose(table.grad, want, rtol=1e-13, atol=0)
-    npt.assert_array_equal(table.grad[0], np.zeros(3))
+    for op, padding in _LOOKUPS:
+        rng = np.random.default_rng(ids.size)
+        table = ad.parameter(rng.normal(size=(6, 3)), "table")
+        upstream = rng.normal(size=ids.shape + (3,))
+        weighted_sum(op(table, ids), upstream).backward()
+        want = np.zeros((6, 3))
+        np.add.at(want, ids.reshape(-1), upstream.reshape(-1, 3))
+        if padding:
+            want[0] = 0.0
+        npt.assert_allclose(table.grad, want, rtol=1e-13, atol=0, err_msg=op.__name__)
+        if padding:
+            npt.assert_array_equal(table.grad[0], np.zeros(3))
 
 
 def test_embedding_twice_into_a_preset_gradient_matches_add_at():
     # one table looked up twice in one graph adds both lookups' rows into a
     # gradient that already holds values (as the packed store's does); the
     # values are multiples of 1/4, so every order of the sums is exact
-    rng = np.random.default_rng(11)
-    table = ad.parameter(rng.normal(size=(6, 3)), "table")
-    mask = np.ones((6, 3), dtype=bool)
-    mask[0] = False
-    table.grad_mask = mask
-    preset = rng.integers(-8, 9, size=(6, 3)) / 4.0
-    preset[0] = 0.0
-    table.grad = preset.copy()
-    ids_a = np.array([[3, 0, 3], [1, 4, 3]])
-    ids_b = np.array([[0, 4, 5], [4, 4, 2]])
-    upstream = rng.integers(-8, 9, size=(2, 3, 6)) / 4.0
-    both = ad.concat([ad.embedding(table, ids_a), ad.embedding(table, ids_b)])
-    weighted_sum(both, upstream).backward()
-    want = preset.copy()
-    np.add.at(want, ids_a.reshape(-1), upstream[..., :3].reshape(-1, 3))
-    np.add.at(want, ids_b.reshape(-1), upstream[..., 3:].reshape(-1, 3))
-    want[0] = 0.0
-    assert table.grad.tobytes() == want.tobytes()
-    assert not table.grad[0].view(np.uint64).any()
+    for op, padding in _LOOKUPS:
+        rng = np.random.default_rng(11)
+        table = ad.parameter(rng.normal(size=(6, 3)), "table")
+        preset = rng.integers(-8, 9, size=(6, 3)) / 4.0
+        preset[0] = 0.0
+        table.grad = preset.copy()
+        ids_a = np.array([[3, 0, 3], [1, 4, 3]])
+        ids_b = np.array([[0, 4, 5], [4, 4, 2]])
+        upstream = rng.integers(-8, 9, size=(2, 3, 6)) / 4.0
+        both = ad.concat([op(table, ids_a), op(table, ids_b)])
+        weighted_sum(both, upstream).backward()
+        want = preset.copy()
+        np.add.at(want, ids_a.reshape(-1), upstream[..., :3].reshape(-1, 3))
+        np.add.at(want, ids_b.reshape(-1), upstream[..., 3:].reshape(-1, 3))
+        if padding:
+            want[0] = 0.0
+            assert not table.grad[0].view(np.uint64).any()
+        assert table.grad.tobytes() == want.tobytes(), op.__name__
 
 
 def test_gradient_accumulates_over_reuse():

@@ -21,7 +21,8 @@ def test_build_vocab_first_occurrence_order():
 def test_build_vocab_empty():
     vocab = build_vocab([])
     assert len(vocab) == 1
-    assert vocab.id_of("anything") == PAD_ID
+    assert vocab.id_of("anything") == -1
+    npt.assert_array_equal(encode(["anything"], vocab, 2), [PAD_ID, PAD_ID])
 
 
 def test_build_vocab_deterministic():
