@@ -2,9 +2,10 @@
 
 Two on-disk variants share the same logical content:
 
-* text: a `mtvqa-ckpt v1 text <n>` header, a `config <json>` line, then one
-  line per parameter: name, tab, space-joined dims, tab, space-joined
-  values written with repr (repr round-trips doubles exactly in Python).
+* text: a `mtvqa-ckpt v2 text <n>` header, a `config <json>` line, then one
+  line per parameter: name, tab, space-joined dims, tab, the hex of the
+  values' big-endian float64 bytes (bit-exact, NaN payloads included).
+  `v1` files, whose values field holds space-joined decimals, still load.
 * binary: a numpy .npz archive (`meta` json member + one array member per
   parameter).  Round-trips are bit-exact.
 """
@@ -18,7 +19,8 @@ import numpy as np
 
 from ..errors import FormatError
 
-_TEXT_MAGIC = "mtvqa-ckpt v1 text"
+_TEXT_VALUES = {"v1": lambda vals: np.array(vals.split(), dtype=np.float64),  # by header version
+                "v2": lambda vals: np.frombuffer(bytes.fromhex(vals), ">f8").astype(np.float64)}
 
 
 def save_checkpoint(path, params, config=None, binary=True):
@@ -31,12 +33,12 @@ def save_checkpoint(path, params, config=None, binary=True):
             np.savez(fh, meta=np.array(meta), **arrays)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_TEXT_MAGIC} {len(names)}\n")
+        fh.write(f"mtvqa-ckpt v2 text {len(names)}\n")
         fh.write("config " + json.dumps(config) + "\n")
         for n in names:
             arr = np.asarray(params[n], dtype=np.float64)
             dims = " ".join(str(d) for d in arr.shape) or "-"
-            vals = " ".join(map(repr, arr.reshape(-1).tolist()))
+            vals = arr.astype(">f8").tobytes().hex()
             fh.write(f"{n}\t{dims}\t{vals}\n")
 
 
@@ -67,12 +69,13 @@ def _load_binary(path):
 def _load_text(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(_TEXT_MAGIC):
+    head = lines[0].split(" ", 3) if lines else []
+    if len(head) < 3 or head[0] != "mtvqa-ckpt" or head[2] != "text":
         raise FormatError(f"{path}: missing checkpoint header")
     try:
-        count = int(lines[0][len(_TEXT_MAGIC):].strip())
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad checkpoint header") from exc
+        decode, count = _TEXT_VALUES[head[1]], int(head[3])
+    except (KeyError, IndexError, ValueError) as exc:
+        raise FormatError(f"{path}: bad checkpoint header {lines[0]!r}") from exc
     if len(lines) < 2 or not lines[1].startswith("config "):
         raise FormatError(f"{path}: missing config line")
     params = {}
@@ -83,7 +86,7 @@ def _load_text(path):
             shape = () if dims == "-" else tuple(int(d) for d in dims.split())
             if min(shape, default=0) < 0:
                 raise ValueError(f"negative dimension in {dims!r}")
-            params[name] = np.array(vals.split(), dtype=np.float64).reshape(shape)
+            params[name] = decode(vals).reshape(shape)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
     if len(params) != count:

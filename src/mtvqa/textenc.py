@@ -107,8 +107,3 @@ def encode(tokens, vocab, max_len):
     for i, tok in enumerate(tokens[:max_len]):
         ids[i] = vocab.token_to_id.get(tok, PAD_ID)
     return ids
-
-
-def decode(ids, vocab):
-    """Tokens for non-padding ids, in order."""
-    return [vocab.id_to_token[int(i)] for i in ids if int(i) != PAD_ID]

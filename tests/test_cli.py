@@ -115,6 +115,26 @@ def test_eval_rejects_wrong_format(pipeline_dir, capsys, tmp_path):
     assert "multitask" in err
 
 
+def test_text_checkpoint_is_v2_and_evaluates_like_the_binary_one(pipeline_dir, capsys,
+                                                                  tmp_path):
+    data = ["--data", str(pipeline_dir / "data" / "multitask.tsv"),
+            "--features", str(pipeline_dir / "corpus" / "features.feat")]
+    settings = ["--seed", "1", "--set", "max_epochs_nadam=1", "--set", "max_epochs_sgd=1",
+                "--model-set", "embed_dim=4", "--model-set", "hidden_dim=6",
+                "--model-set", "filters_per_width=2", "--model-set", "img_compress_dim=4"]
+    csvs = {}
+    for kind, flag in (("text", ["--text-checkpoint"]), ("binary", [])):
+        ckpt = tmp_path / f"{kind}.ckpt"
+        assert main(["train", *data, "--out", str(ckpt), *settings, *flag]) == 0
+        assert main(["eval", "--model", str(ckpt), *data,
+                     "--out", str(tmp_path / f"{kind}.csv")]) == 0
+        csvs[kind] = (tmp_path / f"{kind}.csv").read_text()
+    capsys.readouterr()
+    with open(tmp_path / "text.ckpt", encoding="utf-8") as fh:
+        assert fh.readline().startswith("mtvqa-ckpt v2 text")
+    assert csvs["text"] == csvs["binary"]
+
+
 def test_malformed_checkpoint_exits_1_with_one_error_line(pipeline_dir, capsys, tmp_path):
     ckpt = tmp_path / "model.txt"
     ckpt.write_text('mtvqa-ckpt v1 text 1\nconfig {"variant": \nlayer.b\t2\t0.5 abc\n')
