@@ -1,11 +1,13 @@
 """Stacked LSTM over a token sequence as one graph operator.
 
 The forward pass keeps every step's gate values and the backward pass runs
-backpropagation through time over them by hand (Appleyard, Kočiský &
-Blunsom 2016, arXiv:1604.01946), so encoding a question adds one node to
-the graph instead of a dozen per token and layer.  Each step evaluates the
-same elementwise products as an unfused cell of affine maps, logistic and
-tanh gates, products and sums, in the same order.
+backpropagation through time over them by hand, so encoding a question adds
+one node to the graph instead of a dozen per token and layer.  As Appleyard,
+Kočiský & Blunsom 2016 (arXiv:1604.01946) schedule it, each layer covers all
+steps before the next, over time-major (steps, rows, ·) buffers, so its input
+term `x @ w_in + bias` and each of its weight gradients is one GEMM.  The
+logistic gates are `1/(1 + exp(-z))` over a step's whole gate row in place,
+where exp overflowing to inf makes a gate exactly 0; the candidate takes tanh.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import _accum, _node, _sigmoid
+from .tensor import _accum, _node
 
 
 def lstm_sequence(x_seq, layers):
@@ -39,59 +41,69 @@ def lstm_sequence(x_seq, layers):
                 f"and hidden size {hidden}")
         in_dim = hidden
 
-    # per layer: h and c before each step and after the last (entry 0 is
-    # the zero start state), and each step's (i, f, g, o, tanh(c))
-    hs, cs, gates = [], [], []
-    for _, w_rec, _ in layers:
-        zeros = np.zeros((bsz, w_rec.data.shape[0]))
-        hs.append([zeros])
-        cs.append([zeros])
-        gates.append([])
-    for t in range(steps):
-        inp = x_seq.data[:, t, :]
-        for li, (w_in, w_rec, bias) in enumerate(layers):
-            n = w_rec.data.shape[0]
-            z = (inp @ w_in.data + bias.data) + hs[li][-1] @ w_rec.data
-            i = _sigmoid(z[:, :n])
-            f = _sigmoid(z[:, n:2 * n])
-            g = np.tanh(z[:, 2 * n:3 * n])
-            o = _sigmoid(z[:, 3 * n:])
-            c = f * cs[li][-1] + i * g
-            tc = np.tanh(c)
-            inp = o * tc
-            hs[li].append(inp)
-            cs[li].append(c)
-            gates[li].append((i, f, g, o, tc))
+    # per layer: weights, (steps*rows, in) input, gates (i, f, g, o), c, h and tanh(c)
+    saved = []
+    inp = x_seq.data.transpose(1, 0, 2).reshape(steps * bsz, x_seq.data.shape[2])
+    for w_in, w_rec, bias in layers:
+        n = w_rec.data.shape[0]
+        gates = (inp @ w_in.data).reshape(steps, bsz, 4 * n)
+        gates += bias.data
+        cs, hs, tcs = np.zeros((3, steps + 1, bsz, n))  # entry t + 1: after step t
+        g = np.empty((bsz, n))
+        with np.errstate(over="ignore"):
+            for t in range(steps):
+                z = gates[t]
+                if t:
+                    z += hs[t] @ w_rec.data
+                np.tanh(z[:, 2 * n:3 * n], out=g)
+                np.exp(np.negative(z, out=z), out=z)
+                np.divide(1.0, np.add(z, 1.0, out=z), out=z)
+                z[:, 2 * n:3 * n] = g
+                np.multiply(z[:, n:2 * n], cs[t], out=cs[t + 1])
+                cs[t + 1] += z[:, :n] * g
+                np.tanh(cs[t + 1], out=tcs[t + 1])
+                np.multiply(z[:, 3 * n:], tcs[t + 1], out=hs[t + 1])
+        saved.append((w_in.data, w_rec.data, inp, gates, cs, hs, tcs))
+        inp = hs[1:].reshape(steps * bsz, n)
 
     weights = [w for layer in layers for w in layer]
 
     def _bw(dh_top):
-        gx = np.zeros_like(x_seq.data)
-        gw = [np.zeros_like(w.data) for w in weights]
-        # gradient reaching each layer's h and c from the step after
-        dh_next = [0.0] * (len(layers) - 1) + [dh_top]
-        dc_next = [0.0] * len(layers)
-        for t in reversed(range(steps)):
-            d_up = 0.0  # gradient reaching this layer's h from the layer above
-            for li in reversed(range(len(layers))):
-                w_in, w_rec, _ = layers[li]
-                i, f, g, o, tc = gates[li][t]
-                dh = dh_next[li] + d_up
-                dc = (dh * o) * (1.0 - tc * tc) + dc_next[li]
-                dz = np.concatenate((dc * g * i * (1.0 - i),
-                                     dc * cs[li][t] * f * (1.0 - f),
-                                     dc * i * (1.0 - g * g),
-                                     dh * tc * o * (1.0 - o)), axis=1)
-                inp = x_seq.data[:, t, :] if li == 0 else hs[li - 1][t + 1]
-                gw[3 * li] += inp.T @ dz
-                gw[3 * li + 1] += hs[li][t].T @ dz
-                gw[3 * li + 2] += dz.sum(axis=0)
-                d_up = dz @ w_in.data.T
-                dh_next[li] = dz @ w_rec.data.T
-                dc_next[li] = dc * f
-            gx[:, t, :] = d_up
-        _accum(x_seq, gx)
-        for w, g in zip(weights, gw):
-            _accum(w, g)
+        d_up = np.zeros((steps, *dh_top.shape))  # into each step's h from above
+        d_up[-1:] = dh_top  # none if there are no steps
+        for layer in reversed(layers):  # popped, so a layer's arrays go once it is done
+            d_up, *layer_grads = _layer_backward(d_up, *saved.pop())
+            for w, gw in zip(layer, layer_grads):
+                _accum(w, gw)
+        _accum(x_seq, d_up.transpose(1, 0, 2))
 
-    return _node(hs[-1][-1], (x_seq, *weights), "lstm_sequence", _bw)
+    return _node(hs[steps].copy(), (x_seq, *weights), "lstm_sequence", _bw)
+
+
+def _layer_backward(d_up, w_in, w_rec, inp, gates, cs, hs, tcs):
+    """One layer's input, w_in, w_rec and bias gradients, given `d_up` into its h."""
+    steps, bsz, n = d_up.shape
+    i, f, g, o = (gates[..., k * n:(k + 1) * n] for k in range(4))
+    # dz / dc for the gates i, f, g and dz / dh for o, every step
+    dz = np.subtract(1.0, gates)
+    dz *= gates
+    di, df, dg, do = (dz[..., k * n:(k + 1) * n] for k in range(4))
+    di *= g
+    df *= cs[:-1]
+    np.subtract(1.0, np.multiply(g, g, out=dg), out=dg)
+    dg *= i
+    do *= tcs[1:]
+    dc_dh = np.subtract(1.0, tcs[1:] * tcs[1:])
+    dc_dh *= o
+    dh_rec = dc_next = 0.0  # from the step after
+    for t in reversed(range(steps)):
+        dh = d_up[t]
+        dh += dh_rec
+        dc = dh * dc_dh[t] + dc_next
+        dz[t] *= np.concatenate((dc, dc, dc, dh), axis=1)
+        if t:
+            dh_rec = dz[t] @ w_rec.T
+            dc_next = dc * f[t]
+    dz2 = dz.reshape(steps * bsz, 4 * n)
+    return ((dz2 @ w_in.T).reshape(steps, bsz, w_in.shape[0]), inp.T @ dz2,
+            hs[1:-1].reshape(-1, n).T @ dz[1:].reshape(-1, 4 * n), dz2.sum(axis=0))

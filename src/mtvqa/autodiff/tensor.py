@@ -157,12 +157,6 @@ def tanh(a):
     return _node(y, (a,), "tanh", _bw)
 
 
-def _sigmoid(x):
-    """Logistic function without overflow for large |x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, e) / (e + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 

@@ -64,6 +64,8 @@ class ModelConfig:
                 raise ConfigError(f"{fname} must be positive")
         if any(w < 1 for w in self.filter_widths):
             raise ConfigError("filter widths must be positive")
+        if any(w < 1 for w in self.classifier_dims):
+            raise ConfigError("classifier_dims must be positive")
         if max(self.filter_widths) > self.max_len:
             raise ConfigError("filter width exceeds max question length")
 
@@ -85,10 +87,6 @@ class ModelConfig:
         if not isinstance(d, dict):
             raise FormatError("model config echo is not a JSON object")
         d = dict(d)
-        # older configs echo the encoder layout; only the shared one is built now
-        if not d.pop("shared_question_encoder", True):
-            raise FormatError("config asks for one question encoder per head; "
-                              "only a shared question encoder can be built")
         names = [f.name for f in dataclasses.fields(ModelConfig)]
         unknown = sorted(set(d) - set(names))
         if unknown:
@@ -311,10 +309,6 @@ def load_model_with_extras(path):
     raw, meta = load_checkpoint(path)
     if not isinstance(meta, dict) or "variant" not in meta or "config" not in meta:
         raise FormatError(f"{path}: checkpoint lacks a model config echo")
-    # older checkpoints echo whether the embedding trained; every one does now
-    if not meta.get("embed_trainable", True):
-        raise FormatError(f"{path}: checkpoint has a frozen embedding table; "
-                          "only a trained one can be loaded")
     config = ModelConfig.from_dict(meta["config"])
     model = build_model(meta["variant"], config,
                         np.zeros((config.vocab_size, config.embed_dim)), seed=0)

@@ -213,24 +213,90 @@ def op_case_lstm_sequence(rng):
 
 
 def lstm_reference(x, layers):
-    """Plain-numpy stacked LSTM: (batch, time, channels) -> top h after the
-    last step, gates in the order input, forget, candidate, output."""
+    """Plain-numpy stacked LSTM in `lstm_sequence`'s arithmetic: (batch,
+    time, channels) -> top h after the last step, gates in the order input,
+    forget, candidate, output.  Each layer runs over every step before the
+    next, with one input GEMM over the time-major steps."""
+    bsz, steps, _ = x.shape
+    inp = x.transpose(1, 0, 2).reshape(steps * bsz, -1)
+    for w_in, w_rec, bias in layers:
+        n = w_rec.shape[0]
+        zs = (inp @ w_in + bias).reshape(steps, bsz, 4 * n)
+        h = c = np.zeros((bsz, n))
+        hs = []
+        for z in zs:
+            z = z + h @ w_rec
+            with np.errstate(over="ignore"):
+                i, f, o = (1.0 / (1.0 + np.exp(-z[:, k * n:(k + 1) * n])) for k in (0, 1, 3))
+            c = f * c + i * np.tanh(z[:, 2 * n:3 * n])
+            h = o * np.tanh(c)
+            hs.append(h)
+        inp = np.concatenate(hs)
+    return h
+
+
+def lstm_stepwise_reference(x_seq, layers):
+    """`lstm_sequence` as the engine computed it before it ran layer by
+    layer: step-major over the layers, two GEMMs per step and layer in the
+    forward and five in the backward, and each logistic gate in the
+    overflow-free `where` form."""
 
     def sig(v):
         e = np.exp(-np.abs(v))
-        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return np.where(v >= 0.0, 1.0, e) / (e + 1.0)
 
-    hs = [np.zeros((x.shape[0], w_rec.shape[0])) for _, w_rec, _ in layers]
-    cs = [h.copy() for h in hs]
-    for t in range(x.shape[1]):
-        inp = x[:, t, :]
+    bsz, steps, _ = x_seq.data.shape
+    hs, cs, gates = [], [], []
+    for _, w_rec, _ in layers:
+        zeros = np.zeros((bsz, w_rec.data.shape[0]))
+        hs.append([zeros])
+        cs.append([zeros])
+        gates.append([])
+    for t in range(steps):
+        inp = x_seq.data[:, t, :]
         for li, (w_in, w_rec, bias) in enumerate(layers):
-            n = w_rec.shape[0]
-            z = (inp @ w_in + bias) + hs[li] @ w_rec
-            cs[li] = sig(z[:, n:2 * n]) * cs[li] + sig(z[:, :n]) * np.tanh(z[:, 2 * n:3 * n])
-            hs[li] = sig(z[:, 3 * n:]) * np.tanh(cs[li])
-            inp = hs[li]
-    return hs[-1]
+            n = w_rec.data.shape[0]
+            z = (inp @ w_in.data + bias.data) + hs[li][-1] @ w_rec.data
+            i, f, o = sig(z[:, :n]), sig(z[:, n:2 * n]), sig(z[:, 3 * n:])
+            g = np.tanh(z[:, 2 * n:3 * n])
+            c = f * cs[li][-1] + i * g
+            tc = np.tanh(c)
+            inp = o * tc
+            hs[li].append(inp)
+            cs[li].append(c)
+            gates[li].append((i, f, g, o, tc))
+
+    weights = [w for layer in layers for w in layer]
+
+    def _bw(dh_top):
+        gx = np.zeros_like(x_seq.data)
+        gw = [np.zeros_like(w.data) for w in weights]
+        dh_next = [0.0] * (len(layers) - 1) + [dh_top]
+        dc_next = [0.0] * len(layers)
+        for t in reversed(range(steps)):
+            d_up = 0.0
+            for li in reversed(range(len(layers))):
+                w_in, w_rec, _ = layers[li]
+                i, f, g, o, tc = gates[li][t]
+                dh = dh_next[li] + d_up
+                dc = (dh * o) * (1.0 - tc * tc) + dc_next[li]
+                dz = np.concatenate((dc * g * i * (1.0 - i),
+                                     dc * cs[li][t] * f * (1.0 - f),
+                                     dc * i * (1.0 - g * g),
+                                     dh * tc * o * (1.0 - o)), axis=1)
+                inp = x_seq.data[:, t, :] if li == 0 else hs[li - 1][t + 1]
+                gw[3 * li] += inp.T @ dz
+                gw[3 * li + 1] += hs[li][t].T @ dz
+                gw[3 * li + 2] += dz.sum(axis=0)
+                d_up = dz @ w_in.data.T
+                dh_next[li] = dz @ w_rec.data.T
+                dc_next[li] = dc * f
+            gx[:, t, :] = d_up
+        _accum(x_seq, gx)
+        for w, g in zip(weights, gw):
+            _accum(w, g)
+
+    return _node(hs[-1][-1], (x_seq, *weights), "lstm_stepwise_reference", _bw)
 
 
 OP_CASES = {

@@ -282,7 +282,7 @@ def _train_argv(pipeline_dir, tmp_path, *extra):
 
 
 @pytest.mark.parametrize("case", ["synth_seed", "train_seed", "env_seed", "set_seed",
-                                  "model_set"])
+                                  "model_set", "classifier_dims"])
 def test_input_errors_exit_1_with_one_error_line(case, pipeline_dir, tmp_path, capsys,
                                                  monkeypatch):
     synth = ["synth", "--images", "4", "--out", str(tmp_path / "c")]
@@ -291,7 +291,9 @@ def test_input_errors_exit_1_with_one_error_line(case, pipeline_dir, tmp_path, c
             "env_seed": synth,
             "set_seed": _train_argv(pipeline_dir, tmp_path, "--set", "seed=-1"),
             "model_set": _train_argv(pipeline_dir, tmp_path,
-                                     "--model-set", "hidden_dim=x")}[case]
+                                     "--model-set", "hidden_dim=x"),
+            "classifier_dims": _train_argv(pipeline_dir, tmp_path, "--variant", "vqateam_mtl",
+                                           "--model-set", "classifier_dims=0")}[case]
     if case == "env_seed":
         monkeypatch.setenv("MTVQA_SEED", "abc")
     code, _, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,7 @@ import pytest
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError
 
-from helpers import lstm_reference, weighted_sum
+from helpers import lstm_reference, lstm_stepwise_reference, weighted_sum
 
 
 def _params(arrs):
@@ -102,3 +103,60 @@ def test_stacked_layers_match_numpy_reference():
     x, layers = _stacked_case(np.random.default_rng(12))
     expected = lstm_reference(x.data, [tuple(t.data for t in layer) for layer in layers])
     npt.assert_array_equal(ad.lstm_sequence(x, layers).data, expected)
+
+
+@pytest.mark.parametrize("rows", [1, 40])
+@pytest.mark.parametrize("steps", [1, 6])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [1, 8])
+def test_matches_stepwise_where_form_kernel(rows, steps, depth, hidden):
+    # the layer-major kernel against the step-major one it replaced: the
+    # logistic form and the GEMMs' summation order differ, nothing else
+    rng = np.random.default_rng([rows, steps, depth, hidden])
+    x = ad.parameter(rng.normal(size=(rows, steps, 3)), "x")
+    layers, in_dim = [], 3
+    for li in range(depth):
+        layers.append(tuple(_params([rng.normal(size=(in_dim, 4 * hidden)),
+                                     rng.normal(size=(hidden, 4 * hidden)),
+                                     rng.normal(size=4 * hidden)])))
+        in_dim = hidden
+    params = [x] + [t for layer in layers for t in layer]
+    w = rng.normal(size=(rows, hidden))
+    results = []
+    for op in (ad.lstm_sequence, lstm_stepwise_reference):
+        ad.zero_grads(params)
+        out = op(x, layers)
+        weighted_sum(out, w).backward()
+        results.append([out.data] + [p.grad for p in params])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_saturated_gates_are_exact_without_overflow_warnings():
+    # pre-activations of +-800 put the logistic gates at exactly 1 (row 0)
+    # and 0 (row 1): the cell then adds the candidate onto itself, or stays 0
+    x = ad.parameter(np.array([[[1.0], [1.0]], [[-1.0], [-1.0]]]), "x")
+    layers = [tuple(_params([np.array([[800.0, 800.0, 0.5, 800.0]]), np.zeros((1, 4)),
+                             np.zeros(4)]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.lstm_sequence(x, layers)
+        g = np.tanh(0.5)
+        npt.assert_array_equal(out.data, [[np.tanh(g + g)], [0.0]])
+        weighted_sum(out, np.ones((2, 1))).backward()
+    for p in [x] + list(layers[0]):
+        assert np.isfinite(p.grad).all()
+
+
+@pytest.mark.parametrize("rows, steps", [(0, 3), (2, 0)])
+def test_no_rows_or_no_steps(rows, steps):
+    # no steps leave every layer at its zero start state
+    x = ad.parameter(np.zeros((rows, steps, 3)), "x")
+    layers = [tuple(_params([np.ones((3, 8)), np.ones((2, 8)), np.ones(8)]))]
+    out = ad.lstm_sequence(x, layers)
+    npt.assert_array_equal(out.data, np.zeros((rows, 2)))
+    weighted_sum(out, np.ones((rows, 2))).backward()
+    assert x.grad.shape == x.data.shape
+    for p in layers[0]:
+        npt.assert_array_equal(p.grad, np.zeros_like(p.data))

@@ -194,9 +194,8 @@ def test_load_rejects_configless_checkpoint(tmp_path):
         load_model(path)
 
 
-def test_load_reads_question_encoder_echo(tmp_path):
-    # configs written before the per-head encoder layout was dropped echo
-    # shared_question_encoder; the shared layout loads, the other cannot
+def test_load_rejects_question_encoder_echo(tmp_path):
+    # shared_question_encoder is no config field, so its echo is an unknown key
     from mtvqa.autodiff.checkpoint import save_checkpoint
     model = tiny_model("mtl_simple", seed=5)
     params = {n: p.data for n, p in model.params.items()}
@@ -204,29 +203,39 @@ def test_load_reads_question_encoder_echo(tmp_path):
         config = dict(model.config.to_dict(), shared_question_encoder=shared)
         path = tmp_path / f"echo-{shared}.ckpt"
         save_checkpoint(path, params, config={"variant": "mtl_simple", "config": config,
-                                              "embed_trainable": True, "extras": None})
-        if shared:
-            assert load_model(path).config == model.config
-        else:
-            with pytest.raises(FormatError, match="question encoder"):
-                load_model(path)
+                                              "extras": None})
+        with pytest.raises(FormatError, match="unknown key 'shared_question_encoder'"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("trained", [True, False])
-def test_load_reads_embedding_trainable_echo(tmp_path, trained):
-    # checkpoints written while the embedding could be frozen echo
-    # embed_trainable; a trained table loads, a frozen one cannot
+def test_load_ignores_embedding_trainable_echo(tmp_path, trained):
+    # the embedding always trains, and the loader reads no embed_trainable echo
     from mtvqa.autodiff.checkpoint import save_checkpoint
     model = tiny_model("mtl_simple", seed=5)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, {n: p.data for n, p in model.params.items()},
                     config={"variant": "mtl_simple", "config": model.config.to_dict(),
                             "embed_trainable": trained, "extras": None})
-    if trained:
-        assert load_model(path).config == model.config
-    else:
-        with pytest.raises(FormatError, match="frozen embedding"):
-            load_model(path)
+    loaded = load_model(path)
+    assert loaded.config == model.config
+    for name in model.params:
+        npt.assert_array_equal(loaded.params[name].data, model.params[name].data)
+
+
+@pytest.mark.parametrize("dims", [(0,), (-2,), (4, 0)])
+def test_non_positive_classifier_width_is_rejected(dims):
+    cfg = tiny_model_config(classifier_dims=dims)
+    with pytest.raises(ConfigError, match="classifier_dims"):
+        build_model("vqateam_mtl", cfg, np.zeros((cfg.vocab_size, cfg.embed_dim)))
+
+
+def test_empty_classifier_builds_and_runs():
+    model = tiny_model("vqateam_mtl", seed=5, classifier_dims=())
+    assert not any(name.startswith("clf.") for name in model.params)
+    ids = np.ones((2, model.n_heads, model.config.max_len), dtype=np.int64)
+    logits = model.forward(np.ones((2, model.config.feature_dim)), ids)
+    assert [lg.data.shape for lg in logits] == [(2, model.config.n_answers)] * model.n_heads
 
 
 def test_load_rejects_config_echo_with_unknown_or_missing_key(tmp_path, capsys):
@@ -252,10 +261,12 @@ def test_load_rejects_config_echo_with_unknown_or_missing_key(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("embed_dim", "x"), ("embed_dim", 2.5), ("embed_dim", True), ("embed_dim", 0),
     ("tasks", 5), ("tasks", ["colour", "shape"]), ("filter_widths", None),
-    ("filter_widths", [1, "2"]), ("classifier_dims", {"a": 1}), ("config", "list")],
+    ("filter_widths", [1, "2"]), ("classifier_dims", {"a": 1}), ("classifier_dims", [0]),
+    ("classifier_dims", [-2]), ("config", "list")],
     ids=["embed_dim-str", "embed_dim-float", "embed_dim-bool", "embed_dim-zero",
          "tasks-int", "tasks-unknown", "filter_widths-null", "filter_widths-str-item",
-         "classifier_dims-object", "config-list"])
+         "classifier_dims-object", "classifier_dims-zero", "classifier_dims-negative",
+         "config-list"])
 def test_load_rejects_config_echo_with_bad_value(tmp_path, key, value):
     # a wrong-typed or invalid value is a FormatError naming the key, and a
     # config that is not a JSON object (here a list) is one too
