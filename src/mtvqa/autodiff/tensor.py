@@ -8,9 +8,11 @@ convolution over token positions, max-over-time pooling, tanh,
 concatenation along the feature axis, elementwise product, the word
 lookup (id 0 is padding: it reads zeros and its row takes no gradient), a
 generic row lookup (of encoded questions, so a model encodes each distinct
-question once), a fused stacked LSTM (in `lstm.py`) and a masked softmax
-cross entropy over answer heads of one width, run as one stacked (heads,
-batch, answers) pass.  There is no broadcasting beyond what these
+question once), an affine map over an input laid beside per-head rows of
+such an encoding that multiplies each head's weights by its distinct rows
+once (`slot_affine`), a fused stacked LSTM (in `lstm.py`) and a masked
+softmax cross entropy over answer heads of one width, run as one stacked
+(heads, batch, answers) pass.  There is no broadcasting beyond what these
 operators define internally.
 
 Every operator builds its output with `_node`, and no node refers to
@@ -116,9 +118,9 @@ def _toposort(root):
 def _accum(t, g, rows=...):
     """Add `g` into `t.grad[rows]`, all of it by default.  Indexed rows must
     be distinct, so each gets its `g` once; the row lookups pass their
-    touched rows and so build no array the size of their table.  A first
-    gradient is `g + 0.0`, where -0.0 reads +0.0 as in zeros + g, placed in
-    zeros if `rows` is indexed."""
+    touched rows and `slot_affine` its weight blocks, so they build no array
+    the size of their table or weight.  A first gradient is `g + 0.0`, where
+    -0.0 reads +0.0 as in zeros + g, placed in zeros if `rows` is indexed."""
     if t.grad is not None:
         t.grad[rows] += g
     elif rows is ...:
@@ -173,6 +175,43 @@ def affine(x, w, b):
         _accum(b, g.sum(axis=0))
 
     return _node(x.data @ w.data + b.data, (x, w, b), "affine", _bw)
+
+
+def slot_affine(x, enc, inv, w, b):
+    """`affine(concat([x] + [gather_rows(enc, i) for i in inv]), w, b)` for
+    (heads, batch) row ids `inv`, as `x @ w_x + b + sum_h (enc[u_h] @ w_h)[j_h]`:
+    head h's block of `w` multiplies the distinct rows `u_h` it reads once,
+    and the heads add in order.  The backward sums each head's gradient per
+    distinct row with a one-hot GEMM (faster here than a sort and reduceat)."""
+    inv = np.asarray(inv, dtype=np.int64)
+    if {x.data.ndim, enc.data.ndim, w.data.ndim, inv.ndim} != {2} or inv.shape[1] != len(x.data) \
+            or len(w.data) != x.data.shape[1] + len(inv) * enc.data.shape[1]:
+        raise ShapeError(f"slot_affine: x {x.data.shape}, enc {enc.data.shape}, ids {inv.shape} "
+                         f"and weight {w.data.shape} do not fit")
+    nx, ne = x.data.shape[1], enc.data.shape[1]
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"slot_affine: bias shape {b.data.shape} does not match output width {w.data.shape[1]}")
+    if inv.size and (inv.min() < 0 or inv.max() >= len(enc.data)):
+        raise ShapeError("slot_affine: id out of range for enc")
+    w_x, w_heads = w.data[:nx], w.data[nx:].reshape(len(inv), ne, w.data.shape[1])
+    read = np.zeros((len(inv), len(enc.data)), dtype=bool)
+    read[np.arange(len(inv))[:, None], inv] = True
+    us = [np.flatnonzero(r) for r in read]  # the distinct rows each head reads
+    js = np.take_along_axis(read.cumsum(axis=1) - 1, inv, axis=1)  # their places in us[h]
+    out = x.data @ w_x + b.data
+    for u, j, wh in zip(us, js, w_heads):
+        out += (enc.data[u] @ wh)[j]
+
+    def _bw(g):  # w's gradient goes in block by block, so no w-sized array is built
+        _accum(x, g @ w_x.T)
+        _accum(w, x.data.T @ g, slice(0, nx))
+        for h, (u, j, wh) in enumerate(zip(us, js, w_heads)):
+            gh = (np.arange(len(u))[:, None] == j).astype(np.float64) @ g
+            _accum(w, enc.data[u].T @ gh, slice(nx + h * ne, nx + (h + 1) * ne))
+            _accum(enc, gh @ wh.T, u)
+        _accum(b, g.sum(axis=0))
+
+    return _node(out, (x, enc, w, b), "slot_affine", _bw)
 
 
 def conv1d(x, w, b):

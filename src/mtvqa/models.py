@@ -3,6 +3,8 @@
 * mtl_simple: per-type question inputs through a convolutional sentence
   encoder, a linearly compressed image vector, one shared tanh hidden
   layer, and one softmax head per type over the shared answer vocabulary.
+  Each type's block of hidden weights multiplies that type's distinct
+  questions in the batch once (`ad.slot_affine`), not one copy per example.
 * stl_simple: the same network with a single question input and head; the
   hidden width is unchanged, so only the input/output connections differ.
 * vqateam_stl: deep LSTM question encoding and image features each pass a
@@ -123,7 +125,8 @@ def _distinct_rows(a):
     """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one lexsort."""
     order = np.lexsort(a.T[::-1])
     ordered = a[order]
-    first = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inv = np.empty(len(a), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
     return ordered[first], inv
@@ -167,34 +170,32 @@ class Model:
             raise ShapeError(
                 f"forward: ids must be (batch, {self.n_heads}, {self.config.max_len})")
         p = self.params
-        questions = self.encode_questions(ids)
+        enc, inv = self.encode_questions(ids)
         if _FAMILY[self.variant][0]:
             img = ad.affine(ad.constant(images), p["img.W"], p["img.b"])
-            x = ad.concat([img] + questions)
-            trunk = ["hidden"]
+            x = ad.tanh(ad.slot_affine(img, enc, inv, p["hidden.W"], p["hidden.b"]))
         else:
+            # the products depend on the image, so each head's rows are gathered
             v = ad.tanh(ad.affine(ad.constant(images), p["iproj.W"], p["iproj.b"]))
-            products = [ad.mul(q, v) for q in questions]
+            products = [ad.mul(ad.gather_rows(enc, i), v) for i in inv]
             x = products[0] if len(products) == 1 else ad.concat(products)
-            trunk = [f"clf.{i}" for i in range(len(self.config.classifier_dims))]
-        for name in trunk:
-            x = ad.tanh(ad.affine(x, p[f"{name}.W"], p[f"{name}.b"]))
+            for i in range(len(self.config.classifier_dims)):
+                x = ad.tanh(ad.affine(x, p[f"clf.{i}.W"], p[f"clf.{i}.b"]))
         return [ad.affine(x, p[f"head.{name}.W"], p[f"head.{name}.b"])
                 for name in self.head_names]
 
     def encode_questions(self, ids):
-        """One (batch, question width) encoding per head of (batch, n_heads, max_len) ids.
+        """`(enc, inv)` for (batch, n_heads, max_len) ids: slot (i, h) reads
+        row `inv[h, i]` of the encoding `enc`.
 
         The distinct question rows of all heads, the all-padding question of
-        empty slots among them, are encoded in one encoder call.  Each head
-        gathers its rows from that encoding, and the gather's backward sums
-        their gradients per distinct row.
+        empty slots among them, are encoded in one encoder call, so `enc`
+        has one row per distinct question and `inv` is (n_heads, batch).
         """
         encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
         n, n_heads, max_len = ids.shape
         rows, inv = _distinct_rows(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len))
-        enc = encode(rows)
-        return [ad.gather_rows(enc, head) for head in inv.reshape(n_heads, n)]
+        return encode(rows), inv.reshape(n_heads, n)
 
     def encode_question_conv(self, ids2d):
         seq = ad.embedding(self.params["embedding"], ids2d)

@@ -299,6 +299,22 @@ def lstm_stepwise_reference(x_seq, layers):
     return _node(hs[-1][-1], (x_seq, *weights), "lstm_stepwise_reference", _bw)
 
 
+def op_case_slot_affine(rng):
+    # two heads over four encoded rows; row 3 is read by no head
+    x, enc = _p(rng, (3, 2), "x"), _p(rng, (4, 3), "enc")
+    m, b = _p(rng, (2 + 2 * 3, 4), "m"), _p(rng, (4,), "b")
+    inv = np.array([[0, 2, 0], [1, 1, 1]])
+    w = rng.normal(size=(3, 4))
+    return lambda: weighted_sum(ad.slot_affine(x, enc, inv, m, b), w), [x, enc, m, b]
+
+
+def slot_affine_reference(x, enc, inv, w, b):
+    """`slot_affine` as the graph the conv models built before it: each
+    head gathers its rows of `enc`, and one affine map reads them laid side
+    by side after `x`."""
+    return ad.affine(ad.concat([x] + [ad.gather_rows(enc, i) for i in inv]), w, b)
+
+
 OP_CASES = {
     "mul": op_case_mul,
     "tanh": op_case_tanh,
@@ -308,6 +324,7 @@ OP_CASES = {
     "concat": op_case_concat,
     "embedding": op_case_embedding,
     "gather_rows": op_case_gather_rows,
+    "slot_affine": op_case_slot_affine,
     "softmax_cross_entropy_masked": op_case_softmax_ce,
     "lstm_sequence": op_case_lstm_sequence,
 }
@@ -315,16 +332,19 @@ OP_CASES = {
 
 class EveryRowModel(Model):
     """A model that encodes every question row of each head, repeated
-    questions and empty slots included, in one encoder call per head: the
-    reference for the forward pass, which encodes each distinct row once.
-    It shares the parameters of the model it wraps."""
+    questions and empty slots included: the reference for the forward
+    pass, which encodes each distinct row once.  Head h's slots read rows
+    h * batch onwards of one encoding of all heads' rows.  It shares the
+    parameters of the model it wraps."""
 
     def __init__(self, model):
         super().__init__(model.variant, model.config, model.params)
 
     def encode_questions(self, ids):
         encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
-        return [encode(ids[:, h, :]) for h in range(ids.shape[1])]
+        n, n_heads, max_len = ids.shape
+        enc = encode(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len))
+        return enc, np.arange(n_heads * n).reshape(n_heads, n)
 
 
 TINY_TASKS = (QuestionType.COLOUR, QuestionType.COUNT,

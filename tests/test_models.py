@@ -17,7 +17,8 @@ from mtvqa.models import (
     save_model,
 )
 
-from helpers import TINY_TASKS, EveryRowModel, tiny_model, tiny_model_config, weighted_sum
+from helpers import (TINY_TASKS, EveryRowModel, slot_affine_reference, tiny_model,
+                     tiny_model_config, weighted_sum)
 
 
 def _batch(model, rng, batch=3):
@@ -410,16 +411,40 @@ def _loss_and_grads(model, batch):
 
 @pytest.mark.parametrize("kind", ["mixed", "none_empty", "all_empty", "repeated"])
 @pytest.mark.parametrize("variant", ["mtl_simple", "vqateam_mtl"])
-def test_filled_slot_encoding_matches_every_row_reference(variant, kind):
+def test_filled_slot_encoding_matches_every_row_reference(variant, kind, monkeypatch):
     model = tiny_model(variant, seed=3, emb_scale=1.0)
+    reference = EveryRowModel(model)
     batch = _slot_batch(model, np.random.default_rng(11), kind)
+    enc, inv = model.encode_questions(batch[1])
+    ref_enc, ref_inv = reference.encode_questions(batch[1])
+    npt.assert_array_equal(enc.data[inv], ref_enc.data[ref_inv])
     loss, logits, grads = _loss_and_grads(model, batch)
-    ref_loss, ref_logits, ref_grads = _loss_and_grads(EveryRowModel(model), batch)
-    npt.assert_array_equal(logits, ref_logits)
+    # the reference hidden layer gathers every slot's row and multiplies the
+    # concatenation, as the conv models did before `slot_affine`
+    monkeypatch.setattr(ad, "slot_affine", slot_affine_reference)
+    ref_loss, ref_logits, ref_grads = _loss_and_grads(reference, batch)
+    if variant == "vqateam_mtl":
+        npt.assert_array_equal(logits, ref_logits)
+    else:  # the hidden layer adds its terms in another order
+        assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     for name, ref in ref_grads.items():
         gap = np.abs(grads[name] - ref).max()
         assert gap <= 1e-12 * np.abs(ref).max(), f"{name}: gradient gap {gap:.2e}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_of_no_rows_gives_empty_logits_and_zero_loss(variant):
+    model = tiny_model(variant)
+    cfg, heads = model.config, model.n_heads
+    images, ids = np.zeros((0, cfg.feature_dim)), np.zeros((0, heads, cfg.max_len), dtype=int)
+    rows, inv = _distinct_rows(ids.reshape(0, cfg.max_len))
+    assert rows.shape == (0, cfg.max_len) and inv.shape == (0,)
+    assert [lg.data.shape for lg in model.forward(images, ids)] == [(0, cfg.n_answers)] * heads
+    loss, _, grads = _loss_and_grads(model, (images, ids, np.zeros((0, heads), dtype=int),
+                                             np.zeros((0, heads), dtype=bool)))
+    assert loss == 0.0
+    assert not any(g.any() for g in grads.values())
 
 
 def _encoder_calls(model):

@@ -12,7 +12,7 @@ from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError, TrainingError
 
 from helpers import (OP_CASES, conv1d_reference, max_over_time_reference,
-                     softmax_ce_reference, tiny_model, weighted_sum)
+                     slot_affine_reference, softmax_ce_reference, tiny_model, weighted_sum)
 
 
 def test_affine_identity_passthrough():
@@ -159,6 +159,54 @@ def test_embedding_twice_into_a_preset_gradient_matches_add_at():
             want[0] = 0.0
             assert not table.grad[0].view(np.uint64).any()
         assert table.grad.tobytes() == want.tobytes(), op.__name__
+
+
+@settings(max_examples=80, deadline=None)
+@given(heads=st.integers(1, 5), batch=st.integers(0, 70),
+       reads=st.sampled_from(["all_distinct", "heavy_repeats", "mixed"]),
+       one_row_head=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_slot_affine_matches_the_gather_concat_affine_graph(heads, batch, reads,
+                                                             one_row_head, seed):
+    rng = np.random.default_rng(seed)
+    nx, ne, width = 3, 4, 5
+    if reads == "all_distinct":
+        n_read = heads * batch
+        inv = rng.permutation(n_read).reshape(heads, batch)
+    else:
+        n_read = 3 if reads == "heavy_repeats" else max(heads * batch, 1)
+        inv = rng.integers(0, n_read, size=(heads, batch))
+    if one_row_head:
+        inv[rng.integers(heads)] = inv[0, :1]  # one head reads one distinct row
+    values = [rng.normal(size=shape) for shape in
+              ((batch, nx), (n_read + 1, ne), (nx + heads * ne, width), (width,))]
+    upstream = rng.normal(size=(batch, width))
+    results = []
+    for op in (ad.slot_affine, slot_affine_reference):
+        params = [ad.parameter(a, n) for a, n in zip(values, ("x", "enc", "w", "b"))]
+        out = op(params[0], params[1], inv, params[2], params[3])
+        weighted_sum(out, upstream).backward()
+        results.append([out.data] + [p.grad for p in params])
+    for name, got, want in zip(("value", "x", "enc", "w", "b"), *results):
+        assert got.shape == want.shape, name
+        if want.size:
+            gap = np.abs(got - want).max()
+            assert gap <= 1e-12 * np.abs(want).max(), f"{name}: gap {gap:.2e}"
+    assert not results[0][2][-1].view(np.uint64).any()  # the row no head reads
+
+
+@pytest.mark.parametrize("change", ["w_rows", "id_too_large", "id_negative", "bias", "ids_batch"])
+def test_slot_affine_shape_errors(change):
+    args = dict(x=ad.constant(np.zeros((3, 2))), enc=ad.constant(np.zeros((4, 3))),
+                inv=np.array([[0, 1, 1], [3, 3, 2]]), w=ad.constant(np.zeros((8, 5))),
+                b=ad.constant(np.zeros(5)))
+    assert ad.slot_affine(**args).data.shape == (3, 5)
+    args.update({"w_rows": dict(w=ad.constant(np.zeros((7, 5)))),
+                 "id_too_large": dict(inv=np.array([[0, 1, 4], [3, 3, 2]])),
+                 "id_negative": dict(inv=np.array([[0, 1, -1], [3, 3, 2]])),
+                 "bias": dict(b=ad.constant(np.zeros(4))),
+                 "ids_batch": dict(inv=np.array([[0, 1], [3, 3]]))}[change])
+    with pytest.raises(ShapeError, match="slot_affine"):
+        ad.slot_affine(**args)
 
 
 def test_gradient_accumulates_over_reuse():
