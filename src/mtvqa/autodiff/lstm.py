@@ -1,13 +1,24 @@
-"""Stacked LSTM over a token sequence as one graph operator.
+"""Stacked LSTM over the nodes of a prefix trie as one graph operator.
 
-The forward pass keeps every step's gate values and the backward pass runs
-backpropagation through time over them by hand, so encoding a question adds
-one node to the graph instead of a dozen per token and layer.  As Appleyard,
-Kočiský & Blunsom 2016 (arXiv:1604.01946) schedule it, each layer covers all
-steps before the next, over time-major (steps, rows, ·) buffers, so its input
-term `x @ w_in + bias` and each of its weight gradients is one GEMM.  The
-logistic gates are `1/(1 + exp(-z))` over a step's whole gate row in place,
-where exp overflowing to inf makes a gate exactly 0; the candidate takes tanh.
+A question's LSTM state after token t depends only on tokens 0..t, so rows
+that share a prefix share its states.  The operator runs over the nodes of
+the rows' prefix trie: step t holds one node per distinct (t+1)-token
+prefix, and each node of step t > 0 continues one parent node of step
+t - 1.  This is the computation sharing of RadixAttention (Zheng et al.
+2023, arXiv:2312.07104); rows that share nothing are the case where every
+parent map is the identity, and then no gather or segment sum runs.
+
+The forward pass keeps every node's gate values and the backward pass runs
+backpropagation through time over them by hand, so encoding the questions
+adds one node to the graph instead of a dozen per token and layer.  As
+Appleyard, Kočiský & Blunsom 2016 (arXiv:1604.01946) schedule it, each layer
+covers all steps before the next, over step-major (nodes, ·) buffers, so its
+input term `x @ w_in + bias` and each of its weight gradients is one GEMM.
+A step's recurrent term is one GEMM over its parents' h, gathered to the
+children; in the backward, the children's gradients are summed per parent
+with `np.add.reduceat`.  The logistic gates are `1/(1 + exp(-z))` over a
+step's whole gate row in place, where exp overflowing to inf makes a gate
+exactly 0; the candidate takes tanh.
 """
 
 from __future__ import annotations
@@ -18,19 +29,28 @@ from ..errors import ShapeError
 from .tensor import _accum, _node
 
 
-def lstm_sequence(x_seq, layers):
-    """Run a stack of LSTM layers over a (batch, time, channels) sequence.
+def lstm_sequence(x, parents, layers):
+    """Run a stack of LSTM layers over the nodes of a prefix trie.
+
+    `x` is (nodes, channels): the inputs of step 0's nodes, then of step
+    1's, and so on.  `parents` holds one integer array per step after the
+    first; entry j of `parents[t - 1]` is the index among step t - 1's nodes
+    of the parent of step t's node j.  Each array must be nondecreasing and
+    reach every node of the step before, so each parent's children are
+    contiguous; step 0 has the nodes the arrays leave over.  A batch of
+    rows that share nothing is `parents = [np.arange(rows)] * (steps - 1)`.
 
     `layers` is a list of (w_in, w_rec, bias) triples, one per layer, the
     first consuming the input channels and the rest the hidden size below.
     The fused weights hold the four gates side by side in the order input,
     forget, candidate, output: w_in (in_dim, 4*hidden), w_rec
-    (hidden, 4*hidden), bias (4*hidden,).  Every layer starts from a zero
-    state.  Returns the top layer's hidden state after the last step.
+    (hidden, 4*hidden), bias (4*hidden,).  Step 0 starts every layer from a
+    zero state.  Returns the top layer's hidden state at the last step's
+    nodes.
     """
-    if x_seq.data.ndim != 3:
-        raise ShapeError(f"lstm_sequence: expected 3-d input, got {x_seq.data.shape}")
-    bsz, steps, in_dim = x_seq.data.shape
+    if x.data.ndim != 2:
+        raise ShapeError(f"lstm_sequence: expected 2-d node inputs, got {x.data.shape}")
+    n_nodes, in_dim = x.data.shape
     for w_in, w_rec, bias in layers:
         hidden = w_rec.data.shape[0]
         if (w_in.data.shape != (in_dim, 4 * hidden) or w_rec.data.shape != (hidden, 4 * hidden)
@@ -40,70 +60,121 @@ def lstm_sequence(x_seq, layers):
                 f"{bias.data.shape} inconsistent with input width {in_dim} "
                 f"and hidden size {hidden}")
         in_dim = hidden
+    parents = [np.asarray(p) for p in parents]
+    sizes = [n_nodes - sum(len(p) for p in parents)] + [len(p) for p in parents]
+    if sizes[0] < 0:
+        raise ShapeError(f"lstm_sequence: parent maps name {n_nodes - sizes[0]} "
+                         f"nodes but x has {n_nodes}")
+    off = np.cumsum([0] + sizes).tolist()
+    # per step: its nodes, its parents' nodes, and its parent map's segment
+    # starts, or None where the map is the identity
+    steps = [(slice(off[t], off[t + 1]), slice(off[t - 1], off[t]) if t else None,
+              _segment_starts(parents[t - 1], sizes[t - 1]) if t else None)
+             for t in range(len(sizes))]
+    # every node but step 0's: its parent's index among all nodes
+    gpar = (np.concatenate([s[1].start + p for s, p in zip(steps[1:], parents)])
+            if any(s[2] is not None for s in steps) else None)
 
-    # per layer: weights, (steps*rows, in) input, gates (i, f, g, o), c, h and tanh(c)
+    # per layer: weights, (nodes, in) input, gates (i, f, g, o), c, h and tanh(c)
     saved = []
-    inp = x_seq.data.transpose(1, 0, 2).reshape(steps * bsz, x_seq.data.shape[2])
+    inp = x.data
     for w_in, w_rec, bias in layers:
         n = w_rec.data.shape[0]
-        gates = (inp @ w_in.data).reshape(steps, bsz, 4 * n)
+        gates = inp @ w_in.data
         gates += bias.data
-        cs, hs, tcs = np.zeros((3, steps + 1, bsz, n))  # entry t + 1: after step t
-        g = np.empty((bsz, n))
+        c, h, tc = np.empty((3, n_nodes, n))
+        g_buf = np.empty((max(sizes), n))
         with np.errstate(over="ignore"):
-            for t in range(steps):
-                z = gates[t]
+            for t, (sl, psl, starts) in enumerate(steps):
+                z = gates[sl]
+                g = g_buf[:len(z)]
                 if t:
-                    z += hs[t] @ w_rec.data
+                    rec = h[psl] @ w_rec.data
+                    z += rec if starts is None else rec[parents[t - 1]]
                 np.tanh(z[:, 2 * n:3 * n], out=g)
                 np.exp(np.negative(z, out=z), out=z)
                 np.divide(1.0, np.add(z, 1.0, out=z), out=z)
                 z[:, 2 * n:3 * n] = g
-                np.multiply(z[:, n:2 * n], cs[t], out=cs[t + 1])
-                cs[t + 1] += z[:, :n] * g
-                np.tanh(cs[t + 1], out=tcs[t + 1])
-                np.multiply(z[:, 3 * n:], tcs[t + 1], out=hs[t + 1])
-        saved.append((w_in.data, w_rec.data, inp, gates, cs, hs, tcs))
-        inp = hs[1:].reshape(steps * bsz, n)
+                if t:
+                    c_prev = c[psl] if starts is None else c[psl][parents[t - 1]]
+                    np.multiply(z[:, n:2 * n], c_prev, out=c[sl])
+                    c[sl] += z[:, :n] * g
+                else:
+                    np.multiply(z[:, :n], g, out=c[sl])
+                np.tanh(c[sl], out=tc[sl])
+                np.multiply(z[:, 3 * n:], tc[sl], out=h[sl])
+        saved.append((w_in.data, w_rec.data, inp, gates, c, h, tc))
+        inp = h
 
     weights = [w for layer in layers for w in layer]
+    last = steps[-1][0]
 
     def _bw(dh_top):
-        d_up = np.zeros((steps, *dh_top.shape))  # into each step's h from above
-        d_up[-1:] = dh_top  # none if there are no steps
+        d_up = np.zeros((n_nodes, dh_top.shape[1]))  # into each node's h from above
+        d_up[last] = dh_top
         for layer in reversed(layers):  # popped, so a layer's arrays go once it is done
-            d_up, *layer_grads = _layer_backward(d_up, *saved.pop())
+            d_up, *layer_grads = _layer_backward(d_up, steps, gpar, *saved.pop())
             for w, gw in zip(layer, layer_grads):
                 _accum(w, gw)
-        _accum(x_seq, d_up.transpose(1, 0, 2))
+        _accum(x, d_up)
 
-    return _node(hs[steps].copy(), (x_seq, *weights), "lstm_sequence", _bw)
+    return _node(h[last].copy(), (x, *weights), "lstm_sequence", _bw)
 
 
-def _layer_backward(d_up, w_in, w_rec, inp, gates, cs, hs, tcs):
+def _segment_starts(p, prev):
+    """Where each of the `prev` parents' runs of children starts in the
+    parent map `p`, or None when `p` is the identity."""
+    if p.ndim != 1 or (p.dtype.kind not in "iu" and p.size):
+        raise ShapeError(f"lstm_sequence: a parent map must be a 1-d integer array, "
+                         f"got {p.dtype} {p.shape}")
+    if len(p) == prev and np.array_equal(p, np.arange(prev)):
+        return None
+    first = np.ones(len(p), dtype=bool)
+    first[1:] = p[1:] != p[:-1]
+    starts = np.flatnonzero(first)
+    if not np.array_equal(p[starts], np.arange(prev)):
+        raise ShapeError(f"lstm_sequence: a parent map must be nondecreasing and "
+                         f"reach each of the {prev} nodes of the step before")
+    return starts
+
+
+def _layer_backward(d_up, steps, gpar, w_in, w_rec, inp, gates, c, h, tc):
     """One layer's input, w_in, w_rec and bias gradients, given `d_up` into its h."""
-    steps, bsz, n = d_up.shape
-    i, f, g, o = (gates[..., k * n:(k + 1) * n] for k in range(4))
-    # dz / dc for the gates i, f, g and dz / dh for o, every step
+    n = w_rec.shape[0]
+    n0, n_inner = steps[0][0].stop, steps[-1][0].start  # nodes of step 0; nodes with children
+    i, f, g, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
+    # dz / dc for the gates i, f, g and dz / dh for o, every node
     dz = np.subtract(1.0, gates)
     dz *= gates
-    di, df, dg, do = (dz[..., k * n:(k + 1) * n] for k in range(4))
+    di, df, dg, do = (dz[:, k * n:(k + 1) * n] for k in range(4))
     di *= g
-    df *= cs[:-1]
+    df[:n0] = 0.0  # step 0's previous cell is zero
+    # without shared prefixes, node k's parent is node k - n0, and the
+    # children's summed dz is dz itself
+    df[n0:] *= c[:n_inner] if gpar is None else c[gpar]
+    dz_sum = dz[n0:] if gpar is None else np.empty((n_inner, 4 * n))
     np.subtract(1.0, np.multiply(g, g, out=dg), out=dg)
     dg *= i
-    do *= tcs[1:]
-    dc_dh = np.subtract(1.0, tcs[1:] * tcs[1:])
+    do *= tc
+    dc_dh = np.subtract(1.0, tc * tc)
     dc_dh *= o
-    dh_rec = dc_next = 0.0  # from the step after
-    for t in reversed(range(steps)):
-        dh = d_up[t]
+    dh_rec = dc_next = 0.0  # into each node from its children
+    for t in reversed(range(len(steps))):
+        sl, psl, starts = steps[t]
+        dh = d_up[sl]
         dh += dh_rec
-        dc = dh * dc_dh[t] + dc_next
-        dz[t] *= np.concatenate((dc, dc, dc, dh), axis=1)
-        if t:
-            dh_rec = dz[t] @ w_rec.T
-            dc_next = dc * f[t]
-    dz2 = dz.reshape(steps * bsz, 4 * n)
-    return ((dz2 @ w_in.T).reshape(steps, bsz, w_in.shape[0]), inp.T @ dz2,
-            hs[1:-1].reshape(-1, n).T @ dz[1:].reshape(-1, 4 * n), dz2.sum(axis=0))
+        dc = dh * dc_dh[sl]
+        dc += dc_next
+        dz[sl] *= np.concatenate((dc, dc, dc, dh), axis=1)
+        if not t:
+            break
+        dc *= f[sl]
+        if starts is None:
+            if gpar is not None:
+                dz_sum[psl] = dz[sl]
+            dc_next = dc
+        else:
+            np.add.reduceat(dz[sl], starts, axis=0, out=dz_sum[psl])
+            dc_next = np.add.reduceat(dc, starts, axis=0)
+        dh_rec = dz_sum[psl] @ w_rec.T
+    return dz @ w_in.T, inp.T @ dz, h[:n_inner].T @ dz_sum, dz.sum(axis=0)

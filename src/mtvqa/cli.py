@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, datasets, harness, models, reports, textenc
-from .errors import ConfigError, MtvqaError
+from .errors import ConfigError, FormatError, MtvqaError
 
 
 def _seed(text):
@@ -250,8 +250,11 @@ def _cmd_experiment(args):
 
 
 def _cmd_report(args):
-    payload = json.loads(Path(args.history).read_text(encoding="utf-8"))
-    history = harness.TrainHistory.from_dict(payload)
+    try:  # undecodable bytes and bad JSON raise ValueErrors
+        history = harness.TrainHistory.from_dict(
+            json.loads(Path(args.history).read_text(encoding="utf-8")))
+    except (ValueError, FormatError) as exc:
+        raise FormatError(f"{args.history}: {exc}") from exc
     if not history.records:
         raise ConfigError(f"{args.history}: empty training history")
     series = {"train loss": [r.train_loss for r in history.records],

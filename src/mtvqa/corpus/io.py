@@ -53,8 +53,12 @@ def _read_records(path, magic):
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 4 fields, found {len(parts)}")
         image_id, qtype, answer, tokens = parts
+        tokens = tuple(tokens.split())
+        if not tokens:
+            # a written combined file would read an empty question as a padded slot
+            raise FormatError(f"{path}:{lineno}: question has no tokens")
         out.append(LabeledQuestion(image_id=image_id, qtype=parse_qtype(qtype),
-                                   tokens=tuple(tokens.split()), answer=answer))
+                                   tokens=tokens, answer=answer))
     return out
 
 

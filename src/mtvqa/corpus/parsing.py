@@ -76,7 +76,10 @@ def parse_cocoqa(dirpath):
         code = code.strip()
         if code not in COCOQA_TYPE_CODES:
             raise FormatError(f"{dirpath / 'types.txt'}:{lineno}: unknown type code {code!r}")
-        out.append(LabeledQuestion(image_id=img.strip(), tokens=tokenize(q),
+        tokens = tokenize(q)
+        if not tokens:
+            raise FormatError(f"{dirpath / 'questions.txt'}:{lineno}: question has no tokens")
+        out.append(LabeledQuestion(image_id=img.strip(), tokens=tokens,
                                    answer=a.strip().lower(),
                                    qtype=COCOQA_TYPE_CODES[code]))
     return out

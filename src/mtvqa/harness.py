@@ -17,7 +17,7 @@ from .corpus.reformat import (
 )
 from .corpus.synthetic import SyntheticSceneConfig, gen_synthetic_corpus
 from .datasets import encode_multitask, encode_single
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, FormatError, TrainingError
 from .models import ModelConfig, build_model
 from .textenc import Vocabulary, build_vocab, random_embeddings
 
@@ -80,13 +80,16 @@ class TrainHistory:
 
     @staticmethod
     def from_dict(d):
-        hist = TrainHistory()
-        hist.records = [EpochRecord(**r) for r in d["records"]]
-        hist.convergence_epoch = dict(d["convergence_epoch"])
-        hist.best_epoch = d["best_epoch"]
-        hist.best_val_loss = d["best_val_loss"]
-        hist.phase_transition_epoch = d["phase_transition_epoch"]
-        return hist
+        """The history `to_dict` gave; a missing or malformed field raises `FormatError`."""
+        try:
+            return TrainHistory(records=[EpochRecord(**r) for r in d["records"]],
+                                convergence_epoch=dict(d["convergence_epoch"]),
+                                best_epoch=d["best_epoch"], best_val_loss=d["best_val_loss"],
+                                phase_transition_epoch=d["phase_transition_epoch"])
+        except KeyError as exc:
+            raise FormatError(f"training history lacks field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed training history: {exc}") from exc
 
 
 def _image_level_split(image_ids, val_fraction, rng):

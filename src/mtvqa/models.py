@@ -121,12 +121,22 @@ _FROM_ECHO = {"tasks": lambda v: tuple(parse_qtype(t) for t in v),
               "classifier_dims": lambda v: tuple(map(_echo_int, v))}
 
 
-def _distinct_rows(a):
-    """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one lexsort."""
+def _sorted_prefixes(a):
+    """Lexsort the rows of 2-d ints `a`: returns the order, the sorted rows
+    and `new`, where `new[r, t]` is true when sorted row r's first t + 1 ids
+    differ from the row before's.  Rows sharing a prefix are adjacent, so
+    `new[:, t]` marks the first row of each distinct (t + 1)-id prefix."""
     order = np.lexsort(a.T[::-1])
     ordered = a[order]
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    new = np.ones(a.shape, dtype=bool)
+    np.logical_or.accumulate(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    return order, ordered, new
+
+
+def _distinct_rows(a):
+    """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one lexsort."""
+    order, ordered, new = _sorted_prefixes(a)
+    first = new[:, -1]
     inv = np.empty(len(a), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
     return ordered[first], inv
@@ -207,11 +217,28 @@ class Model:
         return ad.tanh(ad.concat(pooled))
 
     def _question_lstm(self, ids2d):
-        seq = ad.embedding(self.params["embedding"], ids2d)
+        """The LSTM encoding of each row of (rows, max_len) ids, which may
+        come in any order and repeat.
+
+        The stacked LSTM runs over the rows' prefix trie: step t embeds and
+        runs each distinct (t + 1)-id prefix once, as one node whose parent
+        is its t-id prefix (`ad.lstm_sequence`), so rows that share their
+        first tokens share those steps' states.  The top layer's state at
+        each distinct row's last node passes a tanh projection; repeated
+        rows read their distinct row's encoding.
+        """
+        order, rows, new = _sorted_prefixes(ids2d)
+        node = np.cumsum(new, axis=0) - 1  # node[r, t]: sorted row r's node among step t's
+        parents = [node[new[:, t], t - 1] for t in range(1, rows.shape[1])]
+        seq = ad.embedding(self.params["embedding"], rows.T[new.T])  # step-major node tokens
         layers = [(self.params[f"lstm.l{li}.Wx"], self.params[f"lstm.l{li}.Wh"],
                    self.params[f"lstm.l{li}.b"]) for li in range(self.config.lstm_depth)]
-        h_top = ad.lstm_sequence(seq, layers)
-        return ad.tanh(ad.affine(h_top, self.params["qproj.W"], self.params["qproj.b"]))
+        h_top = ad.lstm_sequence(seq, parents, layers)
+        enc = ad.tanh(ad.affine(h_top, self.params["qproj.W"], self.params["qproj.b"]))
+        inv = np.empty(len(rows), dtype=np.intp)
+        inv[order] = node[:, -1]
+        # distinct rows in sorted order, as `encode_questions` passes them, need no gather
+        return enc if np.array_equal(inv, np.arange(len(inv))) else ad.gather_rows(enc, inv)
 
     def loss(self, images, ids, targets, mask):
         """Summed masked cross entropy over all heads (no batch averaging)."""

@@ -199,33 +199,42 @@ def softmax_ce_reference(logits, targets, mask, g):
 
 
 def op_case_lstm_sequence(rng):
+    # a trie of 2, 3, 3 and 4 nodes: steps 1 and 3 share prefixes, step 2
+    # maps one-to-one onto step 1
     hidden = 3
-    x = _p(rng, (2, 3, 2), "x")
+    parents = [np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([0, 0, 1, 2])]
+    x = _p(rng, (12, 2), "x")
     layers = [( _p(rng, (2, 4 * hidden), "l0.Wx"),
                 _p(rng, (hidden, 4 * hidden), "l0.Wh"),
                 _p(rng, (4 * hidden,), "l0.b")),
               ( _p(rng, (hidden, 4 * hidden), "l1.Wx"),
                 _p(rng, (hidden, 4 * hidden), "l1.Wh"),
                 _p(rng, (4 * hidden,), "l1.b"))]
-    w = rng.normal(size=(2, hidden))
+    w = rng.normal(size=(4, hidden))
     params = [x] + [t for layer in layers for t in layer]
-    return lambda: weighted_sum(ad.lstm_sequence(x, layers), w), params
+    return lambda: weighted_sum(ad.lstm_sequence(x, parents, layers), w), params
 
 
-def lstm_reference(x, layers):
-    """Plain-numpy stacked LSTM in `lstm_sequence`'s arithmetic: (batch,
-    time, channels) -> top h after the last step, gates in the order input,
-    forget, candidate, output.  Each layer runs over every step before the
-    next, with one input GEMM over the time-major steps."""
-    bsz, steps, _ = x.shape
-    inp = x.transpose(1, 0, 2).reshape(steps * bsz, -1)
+def lstm_reference(x, parents, layers):
+    """Plain-numpy stacked LSTM over prefix-trie nodes in `lstm_sequence`'s
+    arithmetic: step-major (nodes, channels) inputs and one parent map per
+    step after the first -> top h at the last step's nodes, gates in the
+    order input, forget, candidate, output.  Each layer runs over every step
+    before the next, with one input GEMM over all nodes; a step's recurrent
+    term and previous cell are its parents', gathered."""
+    sizes = [len(x) - sum(len(p) for p in parents)] + [len(p) for p in parents]
+    bounds = np.cumsum([0] + sizes)
+    inp = x
     for w_in, w_rec, bias in layers:
         n = w_rec.shape[0]
-        zs = (inp @ w_in + bias).reshape(steps, bsz, 4 * n)
-        h = c = np.zeros((bsz, n))
+        zs = inp @ w_in + bias
+        h = c = np.zeros((sizes[0], n))
         hs = []
-        for z in zs:
-            z = z + h @ w_rec
+        for t in range(len(sizes)):
+            z = zs[bounds[t]:bounds[t + 1]]
+            if t:
+                z = z + (h @ w_rec)[parents[t - 1]]
+                c = c[parents[t - 1]]
             with np.errstate(over="ignore"):
                 i, f, o = (1.0 / (1.0 + np.exp(-z[:, k * n:(k + 1) * n])) for k in (0, 1, 3))
             c = f * c + i * np.tanh(z[:, 2 * n:3 * n])
@@ -237,9 +246,11 @@ def lstm_reference(x, layers):
 
 def lstm_stepwise_reference(x_seq, layers):
     """`lstm_sequence` as the engine computed it before it ran layer by
-    layer: step-major over the layers, two GEMMs per step and layer in the
-    forward and five in the backward, and each logistic gate in the
-    overflow-free `where` form."""
+    layer over a prefix trie: every row of a (batch, time, channels)
+    sequence runs every step, step-major over the layers, with two GEMMs per
+    step and layer in the forward and five in the backward, and each
+    logistic gate in the overflow-free `where` form.  Returns the top h
+    after the last step."""
 
     def sig(v):
         e = np.exp(-np.abs(v))

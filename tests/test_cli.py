@@ -281,11 +281,22 @@ def _train_argv(pipeline_dir, tmp_path, *extra):
             "--out", str(tmp_path / "m.ckpt"), *extra]
 
 
+# what `mtvqa report` reads as a training history, by case
+_BAD_HISTORIES = {"history_no_records": "{}",
+                  "history_record_fields": '{"records": [{"epoch": 1, "phase": "nadam"}], '
+                                           '"convergence_epoch": {}, "best_epoch": null, '
+                                           '"best_val_loss": null, '
+                                           '"phase_transition_epoch": null}',
+                  "history_not_json": "epoch 1: loss 0.5\n"}
+
+
 @pytest.mark.parametrize("case", ["synth_seed", "train_seed", "env_seed", "set_seed",
-                                  "model_set", "classifier_dims"])
+                                  "model_set", "classifier_dims", *_BAD_HISTORIES])
 def test_input_errors_exit_1_with_one_error_line(case, pipeline_dir, tmp_path, capsys,
                                                  monkeypatch):
     synth = ["synth", "--images", "4", "--out", str(tmp_path / "c")]
+    if case in _BAD_HISTORIES:
+        (tmp_path / "h.json").write_text(_BAD_HISTORIES[case])
     argv = {"synth_seed": synth + ["--seed", "-1"],
             "train_seed": _train_argv(pipeline_dir, tmp_path, "--seed", "-1"),
             "env_seed": synth,
@@ -293,7 +304,9 @@ def test_input_errors_exit_1_with_one_error_line(case, pipeline_dir, tmp_path, c
             "model_set": _train_argv(pipeline_dir, tmp_path,
                                      "--model-set", "hidden_dim=x"),
             "classifier_dims": _train_argv(pipeline_dir, tmp_path, "--variant", "vqateam_mtl",
-                                           "--model-set", "classifier_dims=0")}[case]
+                                           "--model-set", "classifier_dims=0")}.get(
+        case, ["report", "--history", str(tmp_path / "h.json"),
+               "--out", str(tmp_path / "loss.svg")])
     if case == "env_seed":
         monkeypatch.setenv("MTVQA_SEED", "abc")
     code, _, err = run(capsys, *argv)

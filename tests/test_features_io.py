@@ -159,6 +159,16 @@ def test_single_round_trip(tmp_path):
     assert cio.read_single(path) == singles
 
 
+@pytest.mark.parametrize("magic, read", [("mtvqa-labeled v1", cio.read_labeled),
+                                          ("mtvqa-single v1", cio.read_single)])
+def test_record_of_no_tokens_names_the_line(tmp_path, magic, read):
+    # written to a combined file, an empty question would read back as a padded slot
+    path = tmp_path / "records.tsv"
+    path.write_text(f"{magic}\na\tcolour\tred\twhat colour\nb\tcolour\tblue\t \n")
+    with pytest.raises(FormatError, match=r"records\.tsv:3: question has no tokens"):
+        read(path)
+
+
 def test_rejection_log(tmp_path):
     rejected = [RawQuestion(image_id="image3", tokens=("which", "object"), answer="x")]
     path = tmp_path / "rejected.log"

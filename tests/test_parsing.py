@@ -92,6 +92,13 @@ def test_parse_cocoqa_unequal_counts_names_files(tmp_path):
         parse_cocoqa(tmp_path)
 
 
+def test_parse_cocoqa_question_of_no_tokens_names_the_line(tmp_path):
+    # "?" tokenizes to nothing; the question and its answer would vanish later
+    _write_cocoqa(tmp_path, ["what colour is it", "?"], ["red", "blue"], ["1", "2"], ["2", "2"])
+    with pytest.raises(FormatError, match=r"questions\.txt:2: question has no tokens"):
+        parse_cocoqa(tmp_path)
+
+
 def test_parse_cocoqa_unknown_type_code(tmp_path):
     _write_cocoqa(tmp_path, ["q"], ["a"], ["1"], ["7"])
     with pytest.raises(FormatError, match=":1"):
