@@ -19,7 +19,7 @@ mask = np.array([[True], [True]])
 
 def loss_fn():
     hidden = ad.tanh(ad.affine(ad.constant(x), w, b))
-    return ad.softmax_cross_entropy_masked([hidden], targets, mask)
+    return ad.softmax_cross_entropy_masked(hidden, targets, mask)
 
 
 loss = loss_fn()
@@ -35,7 +35,7 @@ print(f"  max relative error {report.max_rel_err:.2e} "
 print("\n== masked rows contribute exactly nothing ==")
 ad.zero_grads([w, b])
 all_masked = ad.softmax_cross_entropy_masked(
-    [ad.affine(ad.constant(x), w, b)], np.array([[-1], [-1]]), np.array([[False], [False]]))
+    ad.affine(ad.constant(x), w, b), np.array([[-1], [-1]]), np.array([[False], [False]]))
 all_masked.backward()
 print(f"  all-masked loss {float(all_masked.data)!r}, "
       f"max |grad w| {float(np.abs(w.grad).max())!r}")

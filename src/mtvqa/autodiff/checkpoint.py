@@ -89,6 +89,7 @@ def _load_text(path):
             params[name] = decode(vals).reshape(shape)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
-    if len(params) != count:
-        raise FormatError(f"{path}: expected {count} parameters, found {len(params)}")
+    if len(params) != count or len(lines) != 2 + count:  # no line may follow the counted ones
+        raise FormatError(f"{path}: header counts {count} parameters, found {len(params)} "
+                          f"in {len(lines) - 2} lines")
     return params, config

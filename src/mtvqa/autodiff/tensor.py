@@ -11,9 +11,9 @@ generic row lookup (of encoded questions, so a model encodes each distinct
 question once), an affine map over an input laid beside per-head rows of
 such an encoding that multiplies each head's weights by its distinct rows
 once (`slot_affine`), a fused stacked LSTM (in `lstm.py`) and a masked
-softmax cross entropy over answer heads of one width, run as one stacked
-(heads, batch, answers) pass.  There is no broadcasting beyond what these
-operators define internally.
+softmax cross entropy over answer heads laid side by side in one logits
+tensor.  There is no broadcasting beyond what these operators define
+internally.
 
 Every operator builds its output with `_node`, and no node refers to
 itself, so no graph is a reference cycle: reference counting frees a graph
@@ -325,46 +325,43 @@ def _lookup(table, ids, op, padding):
 # ---------------------------------------------------------------------------
 # loss
 
-def softmax_cross_entropy_masked(logits_heads, targets, mask):
-    """Summed cross entropy over answer heads of one width, with masked slots.
+def softmax_cross_entropy_masked(logits, targets, mask):
+    """Summed cross entropy over answer heads laid side by side, with masked slots.
 
-    `logits_heads` holds one (batch, answers) tensor per head, all of one
-    shape; column h of the (batch, heads) integer `targets` and boolean
-    `mask` belongs to head h, as in `EncodedDataset`.  Masked slots add
-    exactly zero to the value and to every gradient, and their targets are
-    never read, so -1 is a valid placeholder.  The result is the plain sum
-    over unmasked slots (no averaging).  The heads run as one stacked
-    (heads, batch, answers) pass, and each head's sum over its batch axis
-    is added in head order: the float operations of one pass per head.
+    `logits` is one (batch, heads * answers) tensor, head h in columns
+    h * answers onwards, as `Model.forward` returns it; column h of the
+    (batch, heads) integer `targets` and boolean `mask` belongs to head h,
+    as in `EncodedDataset`.  Masked slots add exactly zero to the value and
+    to every gradient, and their targets are never read, so -1 is a valid
+    placeholder.  The result is the plain sum over unmasked slots (no
+    averaging), each head's batch sum added in head order: the float
+    operations of one pass per head.
     """
-    logits_heads = tuple(logits_heads)
-    shapes = sorted({lg.data.shape for lg in logits_heads})
-    if len(shapes) != 1 or len(shapes[0]) != 2:
-        raise ShapeError(f"softmax_cross_entropy_masked: heads must share one (batch, answers) "
-                         f"shape, got {shapes}")
-    z = np.stack([lg.data for lg in logits_heads])
-    n_heads, bsz, k = z.shape
-    tg, mk = np.asarray(targets, dtype=np.int64).T, np.asarray(mask, dtype=bool).T
-    if tg.shape != (n_heads, bsz) or mk.shape != (n_heads, bsz):
-        raise ShapeError(f"softmax_cross_entropy_masked: targets and mask must be (batch, "
-                         f"heads) = {(bsz, n_heads)}, got {tg.T.shape} and {mk.T.shape}")
-    bad = np.argwhere(mk & ((tg < 0) | (tg >= k)))
+    tg, mk = np.asarray(targets, dtype=np.int64), np.asarray(mask, dtype=bool)
+    if logits.data.ndim != 2 or tg.ndim != 2 or mk.shape != tg.shape or tg.shape[1] < 1 \
+            or len(tg) != len(logits.data) or logits.data.shape[1] % tg.shape[1]:
+        raise ShapeError(f"softmax_cross_entropy_masked: logits {logits.data.shape} must be "
+                         f"(batch, heads * answers) for (batch, heads) targets and mask, got "
+                         f"{tg.shape} and {mk.shape}")
+    bsz, n_heads = tg.shape
+    k = logits.data.shape[1] // n_heads
+    bad = np.argwhere((mk & ((tg < 0) | (tg >= k))).T)  # in head order
     if len(bad):
         h, row = bad[0]
         raise TrainingError(
-            f"target {tg[h, row]} out of range [0, {k}) on unmasked head {h}, row {row}")
+            f"target {tg[row, h]} out of range [0, {k}) on unmasked head {h}, row {row}")
+    z = logits.data.reshape(bsz, n_heads, k)
     zmax = z.max(axis=2, keepdims=True)
     ez = np.exp(z - zmax)
     sez = ez.sum(axis=2)
-    pick = (np.arange(n_heads)[:, None], np.arange(bsz), np.where(mk, tg, 0))
-    ce = np.log(sez) + zmax[..., 0] - z[pick]
-    ce[~mk] = 0.0
+    pick = (np.arange(bsz)[:, None], np.arange(n_heads), np.where(mk, tg, 0))
+    # contiguous (heads, batch) rows, so each head's batch sum runs as a pass per head did
+    ce = np.where(mk, np.log(sez) + zmax[..., 0] - z[pick], 0.0).T.copy()
 
     def _bw(g):
         d = ez / sez[..., None]
         d[pick] -= 1.0
         d *= mk[..., None]  # exact zeros on masked slots
-        for h, lg in enumerate(logits_heads):
-            _accum(lg, d[h] * g)
+        _accum(logits, (d * g).reshape(bsz, n_heads * k))
 
-    return _node(ce.sum(axis=1).cumsum()[-1], logits_heads, "softmax_ce_masked", _bw)
+    return _node(ce.sum(axis=1).cumsum()[-1], (logits,), "softmax_ce_masked", _bw)

@@ -97,9 +97,13 @@ def read_multitask(path):
         if len(parts) != 1 + 2 * len(tasks):
             raise FormatError(
                 f"{path}:{lineno}: expected {1 + 2 * len(tasks)} fields, found {len(parts)}")
+        fields = list(zip(tasks, parts[1::2], parts[2::2]))
+        for t, tokens, answer in fields:  # a padded slot has neither field
+            if (tokens or answer) and not (tokens.split() and answer.strip()):
+                raise FormatError(f"{path}:{lineno}: {t.value} slot needs question tokens "
+                                  f"and an answer, or neither")
         slots = tuple(LabeledQuestion(parts[0], tuple(tokens.split()), answer, t)
-                      for t, tokens, answer in zip(tasks, parts[1::2], parts[2::2])
-                      if tokens)
+                      for t, tokens, answer in fields if tokens)
         if not slots:
             raise FormatError(f"{path}:{lineno}: example has no filled slot")
         examples.append(MultiTaskExample(slots))

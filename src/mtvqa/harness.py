@@ -115,21 +115,20 @@ def _infer(model, data, indices, batch_size, with_loss=False, with_logits=False)
     kept only on request because they are `answers` times the size of the
     argmax.
     """
-    preds = [np.empty((0, model.n_heads), dtype=np.int64)]
-    logits = [np.empty((0, model.n_heads, model.config.n_answers))]
-    loss = 0.0 if with_loss else None
-    for lo in range(0, len(indices), batch_size):
+    preds, logits, loss = [], [], (0.0 if with_loss else None)
+    for lo in range(0, max(len(indices), 1), batch_size):  # no rows run one empty batch
         sel = indices[lo:lo + batch_size]
-        heads = model.forward(data.images[sel], data.ids[sel])
+        out = model.forward(data.images[sel], data.ids[sel])
         if with_loss:
-            loss += float(softmax_cross_entropy_masked(heads, data.targets[sel],
+            loss += float(softmax_cross_entropy_masked(out, data.targets[sel],
                                                        data.mask[sel]).data)
-        preds.append(np.stack([np.argmax(lg.data, axis=1) for lg in heads], axis=1))
+        z = out.data.reshape(len(sel), model.n_heads, model.config.n_answers)
+        preds.append(z.argmax(axis=2))
         if with_logits:
-            logits.append(np.stack([lg.data for lg in heads], axis=1))
+            logits.append(z)
         # drop this batch's graph before the next forward builds one, so
         # only one batch graph is alive at a time
-        del heads
+        del out
     return np.concatenate(preds), loss, np.concatenate(logits) if with_logits else None
 
 

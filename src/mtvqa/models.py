@@ -167,9 +167,11 @@ class Model:
     def forward(self, images, ids):
         """images: (batch, feature_dim); ids: (batch, n_heads, max_len).
 
-        Returns one logits tensor of shape (batch, n_answers) per head.
-        The question encoder runs once, over the batch's distinct question
-        rows; see `encode_questions`.
+        Returns one (batch, n_heads * n_answers) logits tensor in which head
+        h fills columns h * n_answers to (h + 1) * n_answers - 1: the heads
+        are one affine map over their `head.<name>` weights laid side by
+        side.  The question encoder runs once, over the batch's distinct
+        question rows; see `encode_questions`.
         """
         images = np.asarray(images, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)
@@ -187,12 +189,11 @@ class Model:
         else:
             # the products depend on the image, so each head's rows are gathered
             v = ad.tanh(ad.affine(ad.constant(images), p["iproj.W"], p["iproj.b"]))
-            products = [ad.mul(ad.gather_rows(enc, i), v) for i in inv]
-            x = products[0] if len(products) == 1 else ad.concat(products)
+            x = ad.concat([ad.mul(ad.gather_rows(enc, i), v) for i in inv])
             for i in range(len(self.config.classifier_dims)):
                 x = ad.tanh(ad.affine(x, p[f"clf.{i}.W"], p[f"clf.{i}.b"]))
-        return [ad.affine(x, p[f"head.{name}.W"], p[f"head.{name}.b"])
-                for name in self.head_names]
+        return ad.affine(x, ad.concat([p[f"head.{name}.W"] for name in self.head_names]),
+                         ad.concat([p[f"head.{name}.b"] for name in self.head_names]))
 
     def encode_questions(self, ids):
         """`(enc, inv)` for (batch, n_heads, max_len) ids: slot (i, h) reads
@@ -244,10 +245,6 @@ class Model:
         """Summed masked cross entropy over all heads (no batch averaging)."""
         logits = self.forward(images, ids)
         return ad.softmax_cross_entropy_masked(logits, targets, mask), logits
-
-    def logits_array(self, images, ids):
-        logits = self.forward(images, ids)
-        return np.stack([lg.data for lg in logits], axis=1)
 
 
 def build_model(variant, config, embedding, seed=0):

@@ -159,8 +159,9 @@ def op_case_gather_rows(rng):
 
 
 def op_case_softmax_ce(rng):
-    # three heads over one input, so x collects the stacked backward of all
-    # of them; one slot is masked
+    # three heads as one affine over their weights side by side, as a
+    # model's heads are, so x collects the backward of all of them; one
+    # slot is masked
     x = _p(rng, (3, 4), "x")
     heads = [(_p(rng, (4, 5), f"m{h}"), _p(rng, (5,), f"b{h}")) for h in range(3)]
     targets = rng.integers(0, 5, size=(3, 3))
@@ -168,7 +169,7 @@ def op_case_softmax_ce(rng):
     mask[rng.integers(0, 3), rng.integers(0, 3)] = False
 
     def fn():
-        logits = [ad.affine(x, m, b) for m, b in heads]
+        logits = ad.affine(x, ad.concat([m for m, _ in heads]), ad.concat([b for _, b in heads]))
         return ad.softmax_cross_entropy_masked(logits, targets, mask)
 
     return fn, [x] + [p for head in heads for p in head]
@@ -176,10 +177,11 @@ def op_case_softmax_ce(rng):
 
 def softmax_ce_reference(logits, targets, mask, g):
     """Masked cross entropy and its gradient as the engine computed them
-    before the loss stacked its heads: one plain-numpy pass per (batch,
-    answers) head of `logits`, reading column h of the (batch, heads)
-    `targets` and `mask`, with the head sums added in head order.  Returns
-    the value and each head's gradient for the upstream gradient `g`."""
+    before the loss read its heads side by side: one plain-numpy pass per
+    (batch, answers) head in the list `logits`, reading column h of the
+    (batch, heads) `targets` and `mask`, with the head sums added in head
+    order.  Returns the value and each head's gradient for the upstream
+    gradient `g`."""
     total = np.float64(0.0)
     grads = []
     for h, z in enumerate(logits):
@@ -324,6 +326,19 @@ def slot_affine_reference(x, enc, inv, w, b):
     head gathers its rows of `enc`, and one affine map reads them laid side
     by side after `x`."""
     return ad.affine(ad.concat([x] + [ad.gather_rows(enc, i) for i in inv]), w, b)
+
+
+_affine = ad.affine
+
+
+def heads_affine_reference(x, w, b):
+    """`affine` as a model's heads ran before they were one map: a weight
+    that `concat` laid side by side from the `head.<name>.W` blocks runs as
+    one affine map per block, and the logits are their concatenation.  Any
+    other weight runs the plain `affine`."""
+    if w.op != "concat":
+        return _affine(x, w, b)
+    return ad.concat([_affine(x, wh, bh) for wh, bh in zip(w._parents, b._parents)])
 
 
 OP_CASES = {

@@ -90,6 +90,7 @@ TEXT_EDITS = {
     "dims_not_int": (2, 1, lambda dims: "3 four"),
     "dims_negative": (2, 1, lambda dims: "-1 4"),
     "config_not_json": (1, 0, lambda line: "config {not json"),
+    "line_after_counted_parameters": (0, 0, lambda line: line.replace(" text 3", " text 2")),
 }
 
 

@@ -191,6 +191,21 @@ def test_multitask_line_without_a_filled_slot_names_the_line(tmp_path):
         cio.read_multitask(path)
 
 
+@pytest.mark.parametrize("line", ["img1\t\tred\thow many\t2",
+                                  "img1\t  \tred\thow many\t2",
+                                  "img1\twhat colour\t\thow many\t2",
+                                  "img1\twhat colour\t \thow many\t2"],
+                         ids=["tokens_empty", "tokens_spaces_only", "answer_empty",
+                              "answer_spaces_only"])
+def test_multitask_slot_with_question_or_answer_alone_names_the_line(tmp_path, line):
+    # a slot is padded only when both fields are empty; otherwise it needs
+    # tokens and an answer
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"mtvqa-multitask v1 colour,count\n{line}\n")
+    with pytest.raises(FormatError, match=r"bad\.tsv:2: colour slot"):
+        cio.read_multitask(path)
+
+
 _WORDS = st.text("abcxyz019-'?", min_size=1, max_size=5)
 
 

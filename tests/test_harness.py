@@ -178,7 +178,8 @@ def _toy_eval_data(model, rng, n=4):
     cfg = model.config
     images = rng.normal(size=(n, cfg.feature_dim))
     ids = rng.integers(0, cfg.vocab_size, size=(n, model.n_heads, cfg.max_len))
-    preds = model.logits_array(images, ids).argmax(axis=2)
+    logits = model.forward(images, ids).data
+    preds = logits.reshape(n, model.n_heads, cfg.n_answers).argmax(axis=2)
     return images, ids, preds
 
 

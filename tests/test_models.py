@@ -17,8 +17,8 @@ from mtvqa.models import (
     save_model,
 )
 
-from helpers import (TINY_TASKS, EveryRowModel, slot_affine_reference, tiny_model,
-                     tiny_model_config, weighted_sum)
+from helpers import (TINY_TASKS, EveryRowModel, heads_affine_reference, slot_affine_reference,
+                     tiny_model, tiny_model_config, weighted_sum)
 
 
 def _batch(model, rng, batch=3):
@@ -36,16 +36,15 @@ def test_variant_heads_and_logit_shapes(variant):
     assert model.head_names == (tuple(t.value for t in TINY_TASKS) if per_task
                                 else ("single",))
     images, ids = _batch(model, np.random.default_rng(0))
-    logits = model.forward(images, ids)
-    assert [lg.data.shape for lg in logits] == [(3, 100)] * model.n_heads
+    assert model.forward(images, ids).shape == (3, model.n_heads * 100)
 
 
 def test_forward_is_deterministic():
     model = tiny_model("mtl_simple")
     rng = np.random.default_rng(1)
     images, ids = _batch(model, rng)
-    a = model.logits_array(images, ids)
-    b = model.logits_array(images, ids)
+    a = model.forward(images, ids).data
+    b = model.forward(images, ids).data
     npt.assert_array_equal(a, b)
 
 
@@ -64,7 +63,7 @@ def test_all_pad_slots_still_defined():
     rng = np.random.default_rng(2)
     images, _ = _batch(model, rng)
     ids = np.zeros((3, model.n_heads, model.config.max_len), dtype=np.int64)
-    out = model.logits_array(images, ids)
+    out = model.forward(images, ids).data
     assert np.all(np.isfinite(out))
 
 
@@ -103,8 +102,8 @@ def test_vqateam_zero_image_annihilates_questions():
     images = np.zeros((2, model.config.feature_dim))
     ids_a = rng.integers(0, model.config.vocab_size, size=(2, 4, model.config.max_len))
     ids_b = rng.integers(0, model.config.vocab_size, size=(2, 4, model.config.max_len))
-    npt.assert_array_equal(model.logits_array(images, ids_a),
-                           model.logits_array(images, ids_b))
+    npt.assert_array_equal(model.forward(images, ids_a).data,
+                           model.forward(images, ids_b).data)
 
 
 def test_vqateam_mtl_classifier_input_width():
@@ -139,9 +138,9 @@ def test_primary_head_ignores_other_slots_when_pad():
     q = rng.integers(1, cfg.vocab_size, size=(2, cfg.max_len))
     ids = np.zeros((2, 4, cfg.max_len), dtype=np.int64)
     ids[:, 0, :] = q
-    first = model.logits_array(images, ids)
-    second = model.logits_array(images, ids.copy())
-    npt.assert_array_equal(first[:, 0], second[:, 0])
+    first = model.forward(images, ids).data
+    second = model.forward(images, ids.copy()).data
+    npt.assert_array_equal(first[:, :cfg.n_answers], second[:, :cfg.n_answers])
 
 
 def test_forward_shape_validation():
@@ -174,8 +173,8 @@ def test_save_load_round_trip(tmp_path):
         npt.assert_array_equal(loaded.params[name].data, model.params[name].data)
     rng = np.random.default_rng(10)
     images, ids = _batch(model, rng, batch=2)
-    npt.assert_array_equal(model.logits_array(images, ids),
-                           loaded.logits_array(images, ids))
+    npt.assert_array_equal(model.forward(images, ids).data,
+                           loaded.forward(images, ids).data)
 
 
 def test_save_load_text_variant(tmp_path):
@@ -236,7 +235,7 @@ def test_empty_classifier_builds_and_runs():
     assert not any(name.startswith("clf.") for name in model.params)
     ids = np.ones((2, model.n_heads, model.config.max_len), dtype=np.int64)
     logits = model.forward(np.ones((2, model.config.feature_dim)), ids)
-    assert [lg.data.shape for lg in logits] == [(2, model.config.n_answers)] * model.n_heads
+    assert logits.shape == (2, model.n_heads * model.config.n_answers)
 
 
 def test_load_rejects_config_echo_with_unknown_or_missing_key(tmp_path, capsys):
@@ -314,7 +313,7 @@ def test_embedding_row_0_is_never_read(variant):
         model.params["embedding"].data[0] = row0
         loss, logits = model.loss(images, ids, targets, mask)
         loss.backward()
-        runs.append([lg.data.tobytes() for lg in logits]
+        runs.append([logits.data.tobytes()]
                     + [p.grad.tobytes() for n, p in model.params.items() if n != "embedding"]
                     + [model.params["embedding"].grad[1:].tobytes()])
         assert not model.params["embedding"].grad[0].view(np.uint64).any()
@@ -361,8 +360,8 @@ def test_vqateam_stl_matches_scalar_trace():
     trunk = math.tanh(q * v * 1.2 - 0.1)
     expected = [trunk * 0.9 + 0.2, trunk * (-1.1) + 0.3]
 
-    logits = model.logits_array(np.array([[0.3, -0.7]]), np.array([[[1, 2]]]))
-    npt.assert_allclose(logits[0, 0], expected, rtol=1e-12)
+    logits = model.forward(np.array([[0.3, -0.7]]), np.array([[[1, 2]]]))
+    npt.assert_allclose(logits.data[0], expected, rtol=1e-12)
 
 
 def test_all_pad_question_embeds_to_exact_zero_sequence():
@@ -406,7 +405,7 @@ def _loss_and_grads(model, batch):
     loss.backward()
     grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
              for n, p in model.params.items()}
-    return float(loss.data), np.stack([lg.data for lg in logits]), grads
+    return float(loss.data), logits.data, grads
 
 
 @pytest.mark.parametrize("kind", ["mixed", "none_empty", "all_empty", "repeated"])
@@ -434,13 +433,29 @@ def test_filled_slot_encoding_matches_every_row_reference(variant, kind, monkeyp
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_one_affine_heads_match_one_affine_per_head(variant, monkeypatch):
+    # the heads' weights side by side give each head's logits bit for bit;
+    # the trunk's gradient is one GEMM over all heads where the reference
+    # adds one per head, so gradients agree to rounding
+    model = tiny_model(variant, seed=3, emb_scale=1.0)
+    batch = _slot_batch(model, np.random.default_rng(14), "none_empty")
+    loss, logits, grads = _loss_and_grads(model, batch)
+    monkeypatch.setattr(ad, "affine", heads_affine_reference)
+    ref_loss, ref_logits, ref_grads = _loss_and_grads(model, batch)
+    assert logits.tobytes() == ref_logits.tobytes() and loss == ref_loss
+    for name, ref in ref_grads.items():
+        gap = np.abs(grads[name] - ref).max()
+        assert gap <= 1e-12 * np.abs(ref).max(), f"{name}: gradient gap {gap:.2e}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_of_no_rows_gives_empty_logits_and_zero_loss(variant):
     model = tiny_model(variant)
     cfg, heads = model.config, model.n_heads
     images, ids = np.zeros((0, cfg.feature_dim)), np.zeros((0, heads, cfg.max_len), dtype=int)
     rows, inv = _distinct_rows(ids.reshape(0, cfg.max_len))
     assert rows.shape == (0, cfg.max_len) and inv.shape == (0,)
-    assert [lg.data.shape for lg in model.forward(images, ids)] == [(0, cfg.n_answers)] * heads
+    assert model.forward(images, ids).shape == (0, heads * cfg.n_answers)
     loss, _, grads = _loss_and_grads(model, (images, ids, np.zeros((0, heads), dtype=int),
                                              np.zeros((0, heads), dtype=bool)))
     assert loss == 0.0

@@ -128,7 +128,7 @@ def _toy_problem(seed):
         pooled = ad.max_over_time(ad.embedding(table, ids))
         hidden = ad.tanh(ad.affine(pooled, params[1], params[2]))
         return ad.softmax_cross_entropy_masked(
-            [hidden], batch.integers(0, 4, size=(5, 1)), batch.random((5, 1)) < 0.8)
+            hidden, batch.integers(0, 4, size=(5, 1)), batch.random((5, 1)) < 0.8)
 
     return params, loss
 

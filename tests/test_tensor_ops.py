@@ -279,7 +279,7 @@ def test_graph_is_freed_without_the_cyclic_collector(variant, backpropagated):
             loss.backward()
             del loss, logits
         else:
-            model.logits_array(images, ids)
+            model.forward(images, ids)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -292,13 +292,13 @@ def test_backward_requires_scalar():
 
 def test_masked_ce_examples():
     # uniform logits over 4 classes, one unmasked head
-    out = ad.softmax_cross_entropy_masked([ad.constant(np.zeros((1, 4)))],
+    out = ad.softmax_cross_entropy_masked(ad.constant(np.zeros((1, 4))),
                                           np.array([[2]]), np.array([[True]]))
     npt.assert_allclose(float(out.data), np.log(4.0), rtol=1e-12)
 
     # all heads masked: zero loss, exactly-zero gradients
     lg = ad.parameter(np.random.default_rng(3).normal(size=(2, 4)), "lg")
-    out = ad.softmax_cross_entropy_masked([lg], np.array([[-1], [-1]]),
+    out = ad.softmax_cross_entropy_masked(lg, np.array([[-1], [-1]]),
                                           np.array([[False], [False]]))
     out.backward()
     assert float(out.data) == 0.0
@@ -311,7 +311,7 @@ def test_masked_ce_scalar_oracle():
     import math
     denom = sum(math.exp(v) for v in z)
     expected = -math.log(math.exp(z[0]) / denom)
-    out = ad.softmax_cross_entropy_masked([ad.constant(np.array([z]))],
+    out = ad.softmax_cross_entropy_masked(ad.constant(np.array([z])),
                                           np.array([[0]]), np.array([[True]]))
     npt.assert_allclose(float(out.data), expected, rtol=1e-12)
 
@@ -321,7 +321,7 @@ def test_masked_ce_gradient_rows_sum_to_zero():
     lg = ad.parameter(rng.normal(size=(3, 5)), "lg")
     targets = np.array([[0], [3], [2]])
     mask = np.array([[True], [False], [True]])
-    ad.softmax_cross_entropy_masked([lg], targets, mask).backward()
+    ad.softmax_cross_entropy_masked(lg, targets, mask).backward()
     row_sums = lg.grad.sum(axis=1)
     npt.assert_allclose(row_sums[mask[:, 0]], 0.0, atol=1e-12)
     assert np.all(lg.grad[1] == 0.0)
@@ -330,11 +330,10 @@ def test_masked_ce_gradient_rows_sum_to_zero():
 def test_masked_ce_heads_add():
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(2, 6))
-    lg = ad.constant(raw)
     targets = np.array([[1, 1], [4, 4]])
-    both = ad.softmax_cross_entropy_masked([lg, ad.constant(raw)], targets,
-                                           np.ones((2, 2), dtype=bool))
-    single = ad.softmax_cross_entropy_masked([ad.constant(raw)], targets[:, :1],
+    both = ad.softmax_cross_entropy_masked(ad.constant(np.concatenate([raw, raw], axis=1)),
+                                           targets, np.ones((2, 2), dtype=bool))
+    single = ad.softmax_cross_entropy_masked(ad.constant(raw), targets[:, :1],
                                              np.ones((2, 1), dtype=bool))
     npt.assert_allclose(float(both.data), 2 * float(single.data), rtol=1e-12)
 
@@ -344,16 +343,17 @@ def test_masked_ce_masked_head_equals_unmasked_head_alone():
     a, b = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
     targets = np.array([[0, -1], [3, -1]])
     mask = np.array([[True, False], [True, False]])
-    two = ad.softmax_cross_entropy_masked([ad.constant(a), ad.constant(b)], targets, mask)
-    one = ad.softmax_cross_entropy_masked([ad.constant(a)], targets[:, :1], mask[:, :1])
+    two = ad.softmax_cross_entropy_masked(ad.constant(np.concatenate([a, b], axis=1)),
+                                          targets, mask)
+    one = ad.softmax_cross_entropy_masked(ad.constant(a), targets[:, :1], mask[:, :1])
     npt.assert_allclose(float(two.data), float(one.data), rtol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_masked_ce_matches_the_per_head_reference_bit_for_bit(data):
-    # the stacked pass gives the value and every head's gradient of one
-    # numpy pass per head, under the 1/batch root gradient training sets
+    # the heads side by side give the value and every head's gradient of
+    # one numpy pass per head, under the 1/batch root gradient training sets
     bsz = data.draw(st.integers(1, 40), label="rows")
     n_heads = data.draw(st.integers(1, 5), label="heads")
     k = data.draw(st.integers(2, 39), label="answers")
@@ -362,14 +362,14 @@ def test_masked_ce_matches_the_per_head_reference_bit_for_bit(data):
     mask = data.draw(arrays(bool, (bsz, n_heads)))
     targets = np.where(mask, data.draw(arrays(np.int64, (bsz, n_heads),
                                               elements=st.integers(0, k - 1))), -1)
-    lgs = [ad.parameter(z, "lg") for z in logits]
-    out = ad.softmax_cross_entropy_masked(lgs, targets, mask)
+    lg = ad.parameter(np.concatenate(logits, axis=1), "lg")
+    out = ad.softmax_cross_entropy_masked(lg, targets, mask)
     out.grad = np.float64(1.0 / bsz)
     out.backward()
     want, want_grads = softmax_ce_reference(logits, targets, mask, np.float64(1.0 / bsz))
     assert out.data.tobytes() == want.tobytes()
-    for lg, g in zip(lgs, want_grads):
-        assert lg.grad.tobytes() == g.tobytes()
+    for h, g in enumerate(want_grads):
+        assert lg.grad[:, h * k:(h + 1) * k].tobytes() == g.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,10 +391,10 @@ def test_masked_rows_add_bit_zero_loss_and_gradient(data):
         rewritten.append(np.where(mask[:, h, None], z, other))
 
     def run(logits, tg):
-        lgs = [ad.parameter(z, "lg") for z in logits]
-        out = ad.softmax_cross_entropy_masked(lgs, tg, mask)
+        lg = ad.parameter(np.concatenate(logits, axis=1), "lg")
+        out = ad.softmax_cross_entropy_masked(lg, tg, mask)
         out.backward()
-        return out.data, [lg.grad for lg in lgs]
+        return out.data, [lg.grad[:, h * k:(h + 1) * k] for h in range(n_heads)]
 
     loss, grads = run(plain, targets)
     loss2, grads2 = run(rewritten, np.where(mask, targets, -1))
@@ -407,9 +407,9 @@ def test_masked_rows_add_bit_zero_loss_and_gradient(data):
 def test_masked_ce_target_out_of_range():
     lg = ad.constant(np.zeros((1, 3)))
     with pytest.raises(TrainingError, match="out of range"):
-        ad.softmax_cross_entropy_masked([lg], np.array([[5]]), np.array([[True]]))
+        ad.softmax_cross_entropy_masked(lg, np.array([[5]]), np.array([[True]]))
     # the first bad slot in head order is named; masked slots are never read
-    heads = [ad.constant(np.zeros((3, 3))) for _ in range(3)]
+    heads = ad.constant(np.zeros((3, 9)))
     targets = np.array([[0, 0, -1], [0, 0, 9], [0, -1, 0]])
     mask = np.array([[True, True, False], [True, True, True], [True, True, True]])
     with pytest.raises(TrainingError, match="head 1, row 2"):
@@ -417,11 +417,16 @@ def test_masked_ce_target_out_of_range():
 
 
 def test_masked_ce_rejects_heads_of_unequal_width_and_misshapen_targets():
-    a, b = ad.constant(np.zeros((2, 4))), ad.constant(np.zeros((2, 5)))
+    a, b = np.zeros((2, 4)), np.zeros((2, 5))
     targets, mask = np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool)
-    with pytest.raises(ShapeError, match="softmax_cross_entropy_masked"):
-        ad.softmax_cross_entropy_masked([a, b], targets, mask)
-    with pytest.raises(ShapeError, match="softmax_cross_entropy_masked"):
-        ad.softmax_cross_entropy_masked([a, a], targets.T[:1], mask)
-    with pytest.raises(ShapeError, match="softmax_cross_entropy_masked"):
-        ad.softmax_cross_entropy_masked([a, a, a], targets, mask)
+    cases = [
+        (np.concatenate([a, b], axis=1), targets, mask),  # heads of unequal width
+        (np.concatenate([a, a], axis=1), targets.T[:1], mask),  # targets of one row
+        (np.concatenate([a, a], axis=1), targets, mask[:, :1]),  # mask of one head
+        (np.concatenate([a, a, a], axis=1)[:1], targets, mask),  # logits of one row
+        (np.zeros((2, 7)), targets, mask),  # a width that is no multiple of the heads
+        (np.zeros(8), targets, mask),  # 1-d logits
+    ]
+    for logits, tg, mk in cases:
+        with pytest.raises(ShapeError, match="softmax_cross_entropy_masked"):
+            ad.softmax_cross_entropy_masked(ad.constant(logits), tg, mk)
