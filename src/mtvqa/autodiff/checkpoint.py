@@ -1,6 +1,9 @@
 """Parameter checkpoints: named arrays plus an optional config echo.
 
-Two on-disk variants share the same logical content:
+Values are stored and read back as float64, to which float32 widens
+exactly; the caller records the dtype to narrow back to in the config echo
+(`models.save_model` does).  Two on-disk variants share the same logical
+content:
 
 * text: a `mtvqa-ckpt v2 text <n>` header, a `config <json>` line, then one
   line per parameter: name, tab, space-joined dims, tab, the hex of the

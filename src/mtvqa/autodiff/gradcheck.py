@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
 from .tensor import zero_grads
 
 
@@ -29,8 +30,15 @@ def check_gradients(fn, params, tolerance=1e-4, step=1e-5, max_coords_per_param=
     parameter is perturbed by ±step unless `max_coords_per_param` caps the
     number of (seeded, reproducible) sampled coordinates.  The error measure
     per coordinate is
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    |analytic - numeric| / max(1, |analytic|, |numeric|).  Every parameter
+    must be float64: a float32 loss carries rounding of about 6e-8 of its
+    size, which a ±1e-5 central difference turns into errors near 6e-3 of
+    it, far above any useful tolerance.
     """
+    for pi, p in enumerate(params):
+        if p.data.dtype != np.float64:
+            raise ConfigError(f"check_gradients: parameter {p.name or f'param{pi}'} is "
+                              f"{p.data.dtype}; build it as float64")
     zero_grads(params)
     out = fn()
     out.backward()

@@ -82,8 +82,8 @@ def lstm_sequence(x, parents, layers):
         n = w_rec.data.shape[0]
         gates = inp @ w_in.data
         gates += bias.data
-        c, h, tc = np.empty((3, n_nodes, n))
-        g_buf = np.empty((max(sizes), n))
+        c, h, tc = np.empty((3, n_nodes, n), dtype=gates.dtype)
+        g_buf = np.empty((max(sizes), n), dtype=gates.dtype)
         with np.errstate(over="ignore"):
             for t, (sl, psl, starts) in enumerate(steps):
                 z = gates[sl]
@@ -110,7 +110,8 @@ def lstm_sequence(x, parents, layers):
     last = steps[-1][0]
 
     def _bw(dh_top):
-        d_up = np.zeros((n_nodes, dh_top.shape[1]))  # into each node's h from above
+        # into each node's h from above
+        d_up = np.zeros((n_nodes, dh_top.shape[1]), dtype=dh_top.dtype)
         d_up[last] = dh_top
         for layer in reversed(layers):  # popped, so a layer's arrays go once it is done
             d_up, *layer_grads = _layer_backward(d_up, steps, gpar, *saved.pop())
@@ -152,7 +153,7 @@ def _layer_backward(d_up, steps, gpar, w_in, w_rec, inp, gates, c, h, tc):
     # without shared prefixes, node k's parent is node k - n0, and the
     # children's summed dz is dz itself
     df[n0:] *= c[:n_inner] if gpar is None else c[gpar]
-    dz_sum = dz[n0:] if gpar is None else np.empty((n_inner, 4 * n))
+    dz_sum = dz[n0:] if gpar is None else np.empty((n_inner, 4 * n), dtype=dz.dtype)
     np.subtract(1.0, np.multiply(g, g, out=dg), out=dg)
     dg *= i
     do *= tc

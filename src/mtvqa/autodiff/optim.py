@@ -8,7 +8,8 @@ into its view (`p.grad[...] = g`); a step raises on a rebound one.  The
 steps write every intermediate into preallocated scratch vectors, since a
 whole-vector temporary costs more than the per-parameter ones it replaces,
 and keep each formula's operation order ((1-b2)*g*g is ((1-b2)*g)*g), so
-every element rounds as in a loop over the parameters.
+every element rounds as in a loop over the parameters.  Every vector has
+the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from ..errors import TrainingError
 
 
 class _Packed:
-    """Parameters as views into two flat vectors; a gradient set before
-    packing is carried over, a missing one is zero."""
+    """Parameters as views into two flat vectors of their dtype (the widest
+    if they differ); a gradient set before packing is carried over, a
+    missing one is zero."""
 
     def __init__(self, params):
         self.params = list(params)
         sizes = [p.data.size for p in self.params]
-        self.data, self.grad = np.empty(sum(sizes)), np.zeros(sum(sizes))
+        dtype = np.result_type(*(p.data.dtype for p in self.params)) if self.params else np.float64
+        self.data, self.grad = np.empty(sum(sizes), dtype=dtype), np.zeros(sum(sizes), dtype=dtype)
         self.t = 0
         for p, end, n in zip(self.params, np.cumsum(sizes), sizes):
             span, shape = slice(end - n, end), p.data.shape

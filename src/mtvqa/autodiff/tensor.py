@@ -1,11 +1,15 @@
 """Reverse-mode differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and remembers how it was produced, so a
-single `backward()` call on a scalar output fills `.grad` on every tensor
-that contributed to it.  The engine holds exactly the operators that the
-question-answering models and their training run: affine maps, valid 1-d
-convolution over token positions, max-over-time pooling, tanh,
-concatenation along the feature axis, elementwise product, the word
+A Tensor wraps a float32 or float64 ndarray and remembers how it was
+produced, so a single `backward()` call on a scalar output fills `.grad` on
+every tensor that contributed to it.  The engine never picks a float type:
+a tensor keeps its input's, every array an operator makes follows its
+inputs, and gradients take their tensor's, so a graph built from float32
+parameters runs in float32 end to end.  The engine holds exactly the
+operators that the question-answering models and their training run:
+affine maps, valid 1-d convolution over token positions, max-over-time
+pooling, tanh, concatenation along the feature axis, elementwise product,
+the word
 lookup (id 0 is padding: it reads zeros and its row takes no gradient), a
 generic row lookup (of encoded questions, so a model encodes each distinct
 question once), an affine map over an input laid beside per-head rows of
@@ -28,6 +32,9 @@ import numpy as np
 
 from ..errors import ShapeError, TrainingError
 
+# the dtypes a tensor keeps; it makes any other input float64
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 class Tensor:
     """Node of the computation graph."""
@@ -35,7 +42,8 @@ class Tensor:
     __slots__ = ("data", "grad", "op", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), op="leaf", name=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad = None
         self.op = op
         self.name = name
@@ -54,7 +62,8 @@ class Tensor:
         """Backpropagate from this scalar through the whole graph.
 
         The root's upstream gradient is its `.grad` if the caller set one
-        (training sets the loss's 1/batch factor there), and 1 otherwise.
+        (training sets the loss's 1/batch factor there), and 1 otherwise,
+        in the root's dtype.
         A graph can be backpropagated once: each node drops its backward
         rule after running it, and a second call raises `TrainingError`.
         Dropping the rules frees the arrays they saved (the convolution's
@@ -66,8 +75,7 @@ class Tensor:
         if self._parents and self._backward is None:
             raise TrainingError(f"backward: this {self.op} graph was already backpropagated")
         order = _toposort(self)
-        self.grad = np.ones((), dtype=np.float64) if self.grad is None \
-            else np.asarray(self.grad, dtype=np.float64)
+        self.grad = np.asarray(1.0 if self.grad is None else self.grad, dtype=self.data.dtype)
         for node in reversed(order):
             rule, node._backward = node._backward, None
             if rule is not None and node.grad is not None:
@@ -75,8 +83,8 @@ class Tensor:
 
 
 def parameter(data, name):
-    """A trainable leaf tensor."""
-    return Tensor(np.array(data, dtype=np.float64), op="param", name=name)
+    """A trainable leaf tensor holding a copy of `data`."""
+    return Tensor(np.array(data), op="param", name=name)
 
 
 def constant(data):
@@ -206,7 +214,7 @@ def slot_affine(x, enc, inv, w, b):
         _accum(x, g @ w_x.T)
         _accum(w, x.data.T @ g, slice(0, nx))
         for h, (u, j, wh) in enumerate(zip(us, js, w_heads)):
-            gh = (np.arange(len(u))[:, None] == j).astype(np.float64) @ g
+            gh = (np.arange(len(u))[:, None] == j).astype(g.dtype) @ g
             _accum(w, enc.data[u].T @ gh, slice(nx + h * ne, nx + (h + 1) * ne))
             _accum(enc, gh @ wh.T, u)
         _accum(b, g.sum(axis=0))
@@ -241,7 +249,7 @@ def conv1d(x, w, b):
         out += xw[:, i:i + tp, i]
 
     def _bw(g):  # g: (batch, tp, nf), shifted so that gs[:, p + i, i] = g[:, p]
-        gs = np.zeros((bsz, t, width, nf))
+        gs = np.zeros((bsz, t, width, nf), dtype=g.dtype)
         for i in range(width):
             gs[:, i:i + tp, i] = g
         gs = gs.reshape(bsz * t, width * nf)

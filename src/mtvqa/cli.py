@@ -319,7 +319,8 @@ def build_parser():
     p.add_argument("--embeddings", help="pretrained embedding text file")
     p.add_argument("--history", help="write training history JSON here")
     p.add_argument("--text-checkpoint", action="store_true",
-                   help="write text (mtvqa-ckpt v2 text, float64 bits as hex), not .npz")
+                   help="write text (mtvqa-ckpt v2 text: values widened to float64, "
+                        "their bits as hex), not .npz")
     p.add_argument("--set", action="append", metavar="KEY=VAL",
                    help="TrainConfig override")
     p.add_argument("--model-set", action="append", metavar="KEY=VAL",

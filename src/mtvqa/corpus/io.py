@@ -57,6 +57,8 @@ def _read_records(path, magic):
         if not tokens:
             # a written combined file would read an empty question as a padded slot
             raise FormatError(f"{path}:{lineno}: question has no tokens")
+        if not answer.strip():  # nor could it read back a blank answer
+            raise FormatError(f"{path}:{lineno}: blank answer")
         out.append(LabeledQuestion(image_id=image_id, qtype=parse_qtype(qtype),
                                    tokens=tokens, answer=answer))
     return out

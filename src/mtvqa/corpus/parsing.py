@@ -79,7 +79,9 @@ def parse_cocoqa(dirpath):
         tokens = tokenize(q)
         if not tokens:
             raise FormatError(f"{dirpath / 'questions.txt'}:{lineno}: question has no tokens")
-        out.append(LabeledQuestion(image_id=img.strip(), tokens=tokens,
-                                   answer=a.strip().lower(),
+        answer = a.strip().lower()
+        if not answer:
+            raise FormatError(f"{dirpath / 'answers.txt'}:{lineno}: blank answer")
+        out.append(LabeledQuestion(image_id=img.strip(), tokens=tokens, answer=answer,
                                    qtype=COCOQA_TYPE_CODES[code]))
     return out

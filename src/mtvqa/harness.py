@@ -182,7 +182,7 @@ def train(model, data, cfg):
                                      data.targets[sel], data.mask[sel])
                 if not np.isfinite(loss.data):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-                loss.grad = np.float64(1.0 / len(sel))
+                loss.grad = loss.data.dtype.type(1.0 / len(sel))
                 loss.backward()
                 optimizer.step()
                 total += float(loss.data)

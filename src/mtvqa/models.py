@@ -134,12 +134,13 @@ def _sorted_prefixes(a):
 
 
 def _distinct_rows(a):
-    """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one lexsort."""
+    """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one
+    lexsort, and the distinct rows' prefix marks (`_sorted_prefixes`)."""
     order, ordered, new = _sorted_prefixes(a)
     first = new[:, -1]
     inv = np.empty(len(a), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
-    return ordered[first], inv
+    return ordered[first], inv, new[first]
 
 
 def _xavier(rng, shape, fan_in, fan_out):
@@ -154,6 +155,11 @@ class Model:
         self.variant = variant
         self.config = config
         self.params = params
+
+    @property
+    def dtype(self):
+        """The parameters' dtype, which the forward casts the images to."""
+        return self.params["embedding"].data.dtype
 
     @property
     def n_heads(self):
@@ -173,7 +179,7 @@ class Model:
         side.  The question encoder runs once, over the batch's distinct
         question rows; see `encode_questions`.
         """
-        images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(images, dtype=self.dtype)
         ids = np.asarray(ids, dtype=np.int64)
         if images.ndim != 2 or images.shape[1] != self.config.feature_dim:
             raise ShapeError(
@@ -203,10 +209,11 @@ class Model:
         empty slots among them, are encoded in one encoder call, so `enc`
         has one row per distinct question and `inv` is (n_heads, batch).
         """
-        encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
         n, n_heads, max_len = ids.shape
-        rows, inv = _distinct_rows(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len))
-        return encode(rows), inv.reshape(n_heads, n)
+        rows, inv, new = _distinct_rows(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len))
+        enc = self.encode_question_conv(rows) if _FAMILY[self.variant][0] \
+            else self._question_lstm(rows, new)
+        return enc, inv.reshape(n_heads, n)
 
     def encode_question_conv(self, ids2d):
         seq = ad.embedding(self.params["embedding"], ids2d)
@@ -217,29 +224,25 @@ class Model:
         # rounds two maxima to one value, 1 - y**2 is 0 and so is the gradient
         return ad.tanh(ad.concat(pooled))
 
-    def _question_lstm(self, ids2d):
-        """The LSTM encoding of each row of (rows, max_len) ids, which may
-        come in any order and repeat.
+    def _question_lstm(self, rows, new):
+        """The LSTM encoding of each of the distinct, lexsorted rows of
+        (rows, max_len) ids, given their prefix marks `new`, as
+        `_distinct_rows` returns both.
 
         The stacked LSTM runs over the rows' prefix trie: step t embeds and
         runs each distinct (t + 1)-id prefix once, as one node whose parent
         is its t-id prefix (`ad.lstm_sequence`), so rows that share their
         first tokens share those steps' states.  The top layer's state at
-        each distinct row's last node passes a tanh projection; repeated
-        rows read their distinct row's encoding.
+        each row's last node, the last step's nodes in row order, passes a
+        tanh projection.
         """
-        order, rows, new = _sorted_prefixes(ids2d)
-        node = np.cumsum(new, axis=0) - 1  # node[r, t]: sorted row r's node among step t's
+        node = np.cumsum(new, axis=0) - 1  # node[r, t]: row r's node among step t's
         parents = [node[new[:, t], t - 1] for t in range(1, rows.shape[1])]
         seq = ad.embedding(self.params["embedding"], rows.T[new.T])  # step-major node tokens
         layers = [(self.params[f"lstm.l{li}.Wx"], self.params[f"lstm.l{li}.Wh"],
                    self.params[f"lstm.l{li}.b"]) for li in range(self.config.lstm_depth)]
         h_top = ad.lstm_sequence(seq, parents, layers)
-        enc = ad.tanh(ad.affine(h_top, self.params["qproj.W"], self.params["qproj.b"]))
-        inv = np.empty(len(rows), dtype=np.intp)
-        inv[order] = node[:, -1]
-        # distinct rows in sorted order, as `encode_questions` passes them, need no gather
-        return enc if np.array_equal(inv, np.arange(len(inv))) else ad.gather_rows(enc, inv)
+        return ad.tanh(ad.affine(h_top, self.params["qproj.W"], self.params["qproj.b"]))
 
     def loss(self, images, ids, targets, mask):
         """Summed masked cross entropy over all heads (no batch averaging)."""
@@ -247,11 +250,13 @@ class Model:
         return ad.softmax_cross_entropy_masked(logits, targets, mask), logits
 
 
-def build_model(variant, config, embedding, seed=0):
-    """Construct a freshly initialized model.
+def build_model(variant, config, embedding, seed=0, dtype=np.float32):
+    """Construct a freshly initialized model whose parameters are `dtype`.
 
     `embedding` is a (config.vocab_size, config.embed_dim) array; it is
     copied into the model parameters, where its padding row 0 is never read.
+    Initial values are drawn in float64, then cast.  Gradient checks and
+    float64 reference tests pass `dtype=np.float64`.
     """
     if variant not in _FAMILY:
         raise ConfigError(f"unknown model variant {variant!r}")
@@ -269,7 +274,7 @@ def build_model(variant, config, embedding, seed=0):
     params = model.params
 
     def add_param(name, data):
-        params[name] = ad.parameter(data, name)
+        params[name] = ad.parameter(np.asarray(data, dtype=dtype), name)
 
     add_param("embedding", embedding)
 
@@ -320,7 +325,10 @@ def build_model(variant, config, embedding, seed=0):
 
 
 def save_model(path, model, binary=True, extras=None):
-    meta = {"variant": model.variant, "config": model.config.to_dict(), "extras": extras}
+    """The checkpoint stores float64, to which float32 widens exactly, and
+    records the model's dtype in its meta."""
+    meta = {"variant": model.variant, "config": model.config.to_dict(), "extras": extras,
+            "dtype": model.dtype.name}
     save_checkpoint(path, {n: p.data for n, p in model.params.items()},
                     config=meta, binary=binary)
 
@@ -331,12 +339,17 @@ def load_model(path):
 
 
 def load_model_with_extras(path):
+    """The model at the dtype its meta records; a meta without one, as
+    checkpoints written before models had a dtype, means float64."""
     raw, meta = load_checkpoint(path)
     if not isinstance(meta, dict) or "variant" not in meta or "config" not in meta:
         raise FormatError(f"{path}: checkpoint lacks a model config echo")
+    dtype = meta.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise FormatError(f"{path}: unknown model dtype {dtype!r}")
     config = ModelConfig.from_dict(meta["config"])
     model = build_model(meta["variant"], config,
-                        np.zeros((config.vocab_size, config.embed_dim)), seed=0)
+                        np.zeros((config.vocab_size, config.embed_dim)), seed=0, dtype=dtype)
     for name, p in model.params.items():
         if name not in raw:
             raise FormatError(f"{path}: checkpoint is missing parameter {name}")

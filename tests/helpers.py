@@ -6,7 +6,7 @@ from mtvqa import autodiff as ad
 from mtvqa.autodiff.tensor import _accum, _node
 from mtvqa.corpus import QuestionType
 from mtvqa.errors import ShapeError
-from mtvqa.models import _FAMILY, Model, ModelConfig, build_model
+from mtvqa.models import _FAMILY, Model, ModelConfig, _distinct_rows, build_model
 
 
 def weighted_sum(t, weights):
@@ -367,9 +367,13 @@ class EveryRowModel(Model):
         super().__init__(model.variant, model.config, model.params)
 
     def encode_questions(self, ids):
-        encode = self.encode_question_conv if _FAMILY[self.variant][0] else self._question_lstm
         n, n_heads, max_len = ids.shape
-        enc = encode(ids.transpose(1, 0, 2).reshape(n_heads * n, max_len))
+        every = ids.transpose(1, 0, 2).reshape(n_heads * n, max_len)
+        if _FAMILY[self.variant][0]:
+            enc = self.encode_question_conv(every)
+        else:  # the LSTM encoder takes distinct rows; each row gathers its own
+            rows, inv, new = _distinct_rows(every)
+            enc = ad.gather_rows(self._question_lstm(rows, new), inv)
         return enc, np.arange(n_heads * n).reshape(n_heads, n)
 
 
@@ -386,12 +390,14 @@ def tiny_model_config(**overrides):
     return ModelConfig(**base)
 
 
-def tiny_model(variant, seed=0, emb_scale=0.1, **overrides):
+def tiny_model(variant, seed=0, emb_scale=0.1, dtype=np.float64, **overrides):
+    """A tiny model, float64 unless asked: gradient checks and the float64
+    references compare against it."""
     cfg = tiny_model_config(**overrides)
     rng = np.random.default_rng(seed + 1)
     table = rng.uniform(-emb_scale, emb_scale, size=(cfg.vocab_size, cfg.embed_dim))
     table[0] = 0.0
-    return build_model(variant, cfg, table, seed=seed)
+    return build_model(variant, cfg, table, seed=seed, dtype=dtype)
 
 
 def model_loss_case(variant, rng, batch=2):

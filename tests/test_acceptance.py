@@ -191,23 +191,26 @@ def test_criterion_3_reformatting_oracles():
 # 4. mask exactness (bit-exact, not tolerance-based)
 
 def test_criterion_4_mask_exactness():
-    model = tiny_model("mtl_simple", seed=17)
-    cfg = model.config
-    rng = np.random.default_rng(17)
-    batch = 4
-    images = rng.normal(size=(batch, cfg.feature_dim))
-    ids = rng.integers(0, cfg.vocab_size, size=(batch, model.n_heads, cfg.max_len))
-    targets = np.full((batch, model.n_heads), -1, dtype=np.int64)
-    mask = np.zeros((batch, model.n_heads), dtype=bool)
+    # float32, as models train, and float64, as the gradient suite runs
+    for dtype in (np.float32, np.float64):
+        model = tiny_model("mtl_simple", seed=17, dtype=dtype)
+        cfg = model.config
+        rng = np.random.default_rng(17)
+        batch = 4
+        images = rng.normal(size=(batch, cfg.feature_dim))
+        ids = rng.integers(0, cfg.vocab_size, size=(batch, model.n_heads, cfg.max_len))
+        targets = np.full((batch, model.n_heads), -1, dtype=np.int64)
+        mask = np.zeros((batch, model.n_heads), dtype=bool)
 
-    ad.zero_grads(list(model.params.values()))
-    loss, _ = model.loss(images, ids, targets, mask)
-    loss.backward()
-    assert float(loss.data) == 0.0
-    for name, p in model.params.items():
-        if p.grad is not None:
-            assert np.all(p.grad == 0.0), f"nonzero gradient in {name}"
-    _report(4, True, "all-masked batch: loss bit-zero, all gradients bit-zero")
+        ad.zero_grads(list(model.params.values()))
+        loss, _ = model.loss(images, ids, targets, mask)
+        loss.backward()
+        assert loss.data.dtype == dtype and float(loss.data) == 0.0
+        for name, p in model.params.items():
+            if p.grad is not None:
+                assert np.all(p.grad == 0.0), f"nonzero {dtype.__name__} gradient in {name}"
+    _report(4, True, "all-masked batch, float32 and float64: loss bit-zero, "
+                     "all gradients bit-zero")
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,17 @@ def test_record_of_no_tokens_names_the_line(tmp_path, magic, read):
         read(path)
 
 
+@pytest.mark.parametrize("answer", ["", " "], ids=["empty", "one_space"])
+@pytest.mark.parametrize("magic, read", [("mtvqa-labeled v1", cio.read_labeled),
+                                          ("mtvqa-single v1", cio.read_single)])
+def test_record_of_blank_answer_names_the_line(tmp_path, magic, read, answer):
+    # written to a combined file, a blank answer could not be read back
+    path = tmp_path / "records.tsv"
+    path.write_text(f"{magic}\na\tcolour\tred\twhat colour\nb\tcolour\t{answer}\twhat colour\n")
+    with pytest.raises(FormatError, match=r"records\.tsv:3: blank answer"):
+        read(path)
+
+
 def test_rejection_log(tmp_path):
     rejected = [RawQuestion(image_id="image3", tokens=("which", "object"), answer="x")]
     path = tmp_path / "rejected.log"

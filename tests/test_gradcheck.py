@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from mtvqa import autodiff as ad
 from mtvqa.autodiff.tensor import _accum, _node
+from mtvqa.errors import ConfigError
 
 from helpers import weighted_sum
 
@@ -43,3 +45,11 @@ def test_coordinate_sampling_is_reproducible():
     r2 = ad.check_gradients(fn, [p], max_coords_per_param=5, seed=3)
     assert r1.max_rel_err == r2.max_rel_err
     assert r1.passed
+
+
+def test_float32_parameter_is_rejected_by_name():
+    # at float32 a central difference measures rounding, not the gradient
+    p = ad.parameter(np.ones(3), "p")
+    q = ad.parameter(np.ones(3, dtype=np.float32), "q")
+    with pytest.raises(ConfigError, match="parameter q is float32"):
+        ad.check_gradients(lambda: weighted_sum(ad.tanh(p), np.ones(3)), [p, q])

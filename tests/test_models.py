@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mtvqa import autodiff as ad
+from mtvqa.autodiff.checkpoint import save_checkpoint
 from mtvqa.corpus import QuestionType
 from mtvqa.errors import ConfigError, FormatError, ShapeError
 from mtvqa.models import (
@@ -12,6 +15,7 @@ from mtvqa.models import (
     VARIANTS,
     ModelConfig,
     _distinct_rows,
+    _sorted_prefixes,
     build_model,
     load_model,
     save_model,
@@ -186,6 +190,71 @@ def test_save_load_text_variant(tmp_path):
         npt.assert_array_equal(loaded.params[name].data, model.params[name].data)
 
 
+# every float32 bit pattern, NaNs quiet: widening to float64 quiets a
+# signalling NaN, so only quiet NaNs can come back bit for bit
+_FLOAT32_BITS = st.integers(0, 2**32 - 1).map(
+    lambda b: b | 1 << 22 if b >> 23 & 0xFF == 0xFF and b & 0x7FFFFF else b)
+_FLOAT64_BITS = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(VARIANTS), st.sampled_from(["float32", "float64"]), st.booleans(),
+       st.data())
+def test_checkpoint_reloads_a_model_at_its_dtype_bit_for_bit(tmp_path_factory, variant, dtype,
+                                                             binary, data):
+    model = tiny_model(variant, seed=6, dtype=dtype)
+    name = data.draw(st.sampled_from(sorted(model.params)), label="parameter")
+    p = model.params[name].data
+    bits = np.uint32 if dtype == "float32" else np.uint64
+    p[...] = data.draw(arrays(bits, p.shape, elements=_FLOAT32_BITS if dtype == "float32"
+                              else _FLOAT64_BITS), label="bits").view(p.dtype)
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_model(path, model, binary=binary)
+    loaded = load_model(path)
+    assert loaded.dtype == dtype
+    for n, t in model.params.items():
+        assert loaded.params[n].data.dtype == dtype and \
+            loaded.params[n].data.tobytes() == t.data.tobytes(), n
+
+
+def _write_v1_text(path, params, meta):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"mtvqa-ckpt v1 text {len(params)}\nconfig {json.dumps(meta)}\n")
+        for n, a in params.items():
+            fh.write(f"{n}\t{' '.join(map(str, a.shape)) or '-'}\t"
+                     f"{' '.join(repr(float(v)) for v in a.reshape(-1))}\n")
+
+
+@pytest.mark.parametrize("form", ["v1 text", "v2 text", "npz"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_without_a_dtype_loads_as_float64_bit_for_bit(tmp_path, variant, form):
+    # checkpoints written before models had a dtype record none
+    model = tiny_model(variant, seed=7)
+    params = {n: p.data for n, p in model.params.items()}
+    meta = {"variant": variant, "config": model.config.to_dict(), "extras": None}
+    path = tmp_path / "old.ckpt"
+    if form == "v1 text":
+        _write_v1_text(path, params, meta)
+    else:
+        save_checkpoint(path, params, config=meta, binary=form == "npz")
+    loaded = load_model(path)
+    assert loaded.dtype == np.float64
+    for n, a in params.items():
+        assert loaded.params[n].data.dtype == np.float64 and \
+            loaded.params[n].data.tobytes() == a.tobytes(), n
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int64", "f4", None, 32, ["float32"]])
+def test_checkpoint_with_an_unknown_dtype_raises_format_error(tmp_path, dtype):
+    model = tiny_model("stl_simple", seed=7)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {n: p.data for n, p in model.params.items()},
+                    config={"variant": "stl_simple", "config": model.config.to_dict(),
+                            "extras": None, "dtype": dtype})
+    with pytest.raises(FormatError, match=r"m\.ckpt: unknown model dtype"):
+        load_model(path)
+
+
 def test_load_rejects_configless_checkpoint(tmp_path):
     from mtvqa.autodiff.checkpoint import save_checkpoint
     path = tmp_path / "bare.ckpt"
@@ -331,7 +400,7 @@ def test_vqateam_stl_matches_scalar_trace():
                       img_compress_dim=1, lstm_dim=1, lstm_depth=1, common_dim=1,
                       classifier_dims=(1,))
     emb_rows = np.array([[0.0, 0.0], [0.5, -0.3], [0.2, 0.4]])
-    model = build_model("vqateam_stl", cfg, emb_rows.copy(), seed=0)
+    model = build_model("vqateam_stl", cfg, emb_rows.copy(), seed=0, dtype=np.float64)
     wx = np.array([[0.1, 0.2, 0.3, 0.4], [-0.2, 0.1, 0.0, 0.3]])
     wh = np.array([[0.05, -0.1, 0.2, 0.15]])
     bias = np.array([0.01, 0.02, 0.03, 0.04])
@@ -453,8 +522,8 @@ def test_batch_of_no_rows_gives_empty_logits_and_zero_loss(variant):
     model = tiny_model(variant)
     cfg, heads = model.config, model.n_heads
     images, ids = np.zeros((0, cfg.feature_dim)), np.zeros((0, heads, cfg.max_len), dtype=int)
-    rows, inv = _distinct_rows(ids.reshape(0, cfg.max_len))
-    assert rows.shape == (0, cfg.max_len) and inv.shape == (0,)
+    rows, inv, new = _distinct_rows(ids.reshape(0, cfg.max_len))
+    assert rows.shape == new.shape == (0, cfg.max_len) and inv.shape == (0,)
     assert model.forward(images, ids).shape == (0, heads * cfg.n_answers)
     loss, _, grads = _loss_and_grads(model, (images, ids, np.zeros((0, heads), dtype=int),
                                              np.zeros((0, heads), dtype=bool)))
@@ -468,9 +537,9 @@ def _encoder_calls(model):
     encode = getattr(model, name)
     calls = []
 
-    def recorded(ids2d):
+    def recorded(ids2d, *rest):
         calls.append(ids2d.copy())
-        return encode(ids2d)
+        return encode(ids2d, *rest)
 
     setattr(model, name, recorded)
     return calls
@@ -500,11 +569,13 @@ def test_one_encoder_call_per_forward_over_the_distinct_rows(variant):
 
 
 def _assert_matches_np_unique(a):
-    rows, inv = _distinct_rows(a)
+    rows, inv, new = _distinct_rows(a)
     ref_rows, ref_inv = np.unique(a, axis=0, return_inverse=True)
     npt.assert_array_equal(rows, ref_rows)
     assert rows.dtype == ref_rows.dtype
     npt.assert_array_equal(inv, ref_inv.reshape(-1))
+    # the distinct rows' prefix marks are those a sort of them alone gives
+    npt.assert_array_equal(new, _sorted_prefixes(rows)[2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,3 +627,56 @@ def test_pooling_before_tanh_matches_tanh_first_on_saturated_batch():
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
         npt.assert_allclose(grads[name], ref, rtol=1e-12, atol=0, err_msg=name)
+
+
+def _rows_of_repeats(model, rng, batch):
+    """`batch` float64 rows drawn from 8 distinct ones, some slots empty."""
+    images, ids = _batch(model, rng, batch=8)
+    ids[rng.random(ids.shape[:2]) < 0.3] = 0
+    pick = rng.integers(0, 8, size=batch)
+    targets = rng.integers(0, model.config.n_answers, size=(batch, model.n_heads))
+    return images[pick], ids[pick], targets, rng.random(targets.shape) < 0.7
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_model_computes_in_its_own_dtype_with_no_silent_upcast(variant, dtype):
+    # a first gradient is its own array, so an operator that made a wider
+    # scratch array would show here as a wider `.grad`; packed, the
+    # optimizers would silently narrow it instead
+    model = tiny_model(variant, seed=2, emb_scale=1.0, dtype=dtype)
+    assert model.dtype == dtype
+    images, ids, targets, mask = _rows_of_repeats(model, np.random.default_rng(15), 64)
+    loss, _ = model.loss(images, ids, targets, mask)
+    loss.backward()
+    nodes = ad.tensor._toposort(loss)
+    assert {p.op for p in nodes} >= {"param", "const", "affine", "tanh", "embedding"}
+    for node in nodes:
+        assert node.data.dtype == dtype, f"{node!r} data is {node.data.dtype}"
+        assert node.grad is None or node.grad.dtype == dtype, f"{node!r} grad is {node.grad.dtype}"
+    for optimizer in (ad.Nadam, ad.SgdMomentum):  # each packs the gradients it finds
+        opt = optimizer(model.params.values())
+        opt.step()
+        vectors = {k: v for k, v in vars(opt).items() if isinstance(v, np.ndarray)}
+        assert {"data", "grad"} <= vectors.keys()
+        assert all(v.dtype == dtype for v in vectors.values()), \
+            {k: v.dtype for k, v in vectors.items()}
+        assert all(p.data.dtype == p.grad.dtype == dtype for p in model.params.values())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_sort_per_forward(variant, monkeypatch):
+    # the LSTM's prefix trie comes from the sort that finds the distinct rows
+    model = tiny_model(variant)
+    images, ids, _, _ = _rows_of_repeats(model, np.random.default_rng(17), 64)
+    logits = model.forward(images, ids).data
+    sorts = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        sorts.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    assert model.forward(images, ids).data.tobytes() == logits.tobytes()
+    assert sorts == [model.config.max_len]

@@ -99,6 +99,14 @@ def test_parse_cocoqa_question_of_no_tokens_names_the_line(tmp_path):
         parse_cocoqa(tmp_path)
 
 
+@pytest.mark.parametrize("answer", ["", " "], ids=["empty", "one_space"])
+def test_parse_cocoqa_blank_answer_names_the_line(tmp_path, answer):
+    _write_cocoqa(tmp_path, ["what colour is it", "what colour is that"], ["red", answer],
+                  ["1", "2"], ["2", "2"])
+    with pytest.raises(FormatError, match=r"answers\.txt:2: blank answer"):
+        parse_cocoqa(tmp_path)
+
+
 def test_parse_cocoqa_unknown_type_code(tmp_path):
     _write_cocoqa(tmp_path, ["q"], ["a"], ["1"], ["7"])
     with pytest.raises(FormatError, match=":1"):
