@@ -5,8 +5,7 @@ that share a prefix share its states.  The operator runs over the nodes of
 the rows' prefix trie: step t holds one node per distinct (t+1)-token
 prefix, and each node of step t > 0 continues one parent node of step
 t - 1.  This is the computation sharing of RadixAttention (Zheng et al.
-2023, arXiv:2312.07104); rows that share nothing are the case where every
-parent map is the identity, and then no gather or segment sum runs.
+2023, arXiv:2312.07104).
 
 The forward pass keeps every node's gate values and the backward pass runs
 backpropagation through time over them by hand, so encoding the questions
@@ -16,9 +15,11 @@ covers all steps before the next, over step-major (nodes, ·) buffers, so its
 input term `x @ w_in + bias` and each of its weight gradients is one GEMM.
 A step's recurrent term is one GEMM over its parents' h, gathered to the
 children; in the backward, the children's gradients are summed per parent
-with `np.add.reduceat`.  The logistic gates are `1/(1 + exp(-z))` over a
-step's whole gate row in place, where exp overflowing to inf makes a gate
-exactly 0; the candidate takes tanh.
+with `np.add.reduceat`.  A step where each parent has one child, as where
+rows share no prefix, reads its parents' rows in place and sums nothing:
+`reduceat` pays a fixed cost per segment.  The logistic gates are
+`1/(1 + exp(-z))` over a step's whole gate row in place, where exp
+overflowing to inf makes a gate exactly 0; the candidate takes tanh.
 """
 
 from __future__ import annotations
@@ -66,14 +67,12 @@ def lstm_sequence(x, parents, layers):
         raise ShapeError(f"lstm_sequence: parent maps name {n_nodes - sizes[0]} "
                          f"nodes but x has {n_nodes}")
     off = np.cumsum([0] + sizes).tolist()
-    # per step: its nodes, its parents' nodes, and its parent map's segment
-    # starts, or None where the map is the identity
+    # per step: its nodes, its parents' nodes, and its parent map's segment starts
     steps = [(slice(off[t], off[t + 1]), slice(off[t - 1], off[t]) if t else None,
               _segment_starts(parents[t - 1], sizes[t - 1]) if t else None)
              for t in range(len(sizes))]
-    # every node but step 0's: its parent's index among all nodes
-    gpar = (np.concatenate([s[1].start + p for s, p in zip(steps[1:], parents)])
-            if any(s[2] is not None for s in steps) else None)
+    # every node but step 0's, none in a one-step call: its parent's index among all nodes
+    gpar = np.concatenate([np.arange(0)] + [s[1].start + p for s, p in zip(steps[1:], parents)])
 
     # per layer: weights, (nodes, in) input, gates (i, f, g, o), c, h and tanh(c)
     saved = []
@@ -89,15 +88,14 @@ def lstm_sequence(x, parents, layers):
                 z = gates[sl]
                 g = g_buf[:len(z)]
                 if t:
-                    rec = h[psl] @ w_rec.data
-                    z += rec if starts is None else rec[parents[t - 1]]
+                    take = slice(None) if len(starts) == len(z) else parents[t - 1]
+                    z += (h[psl] @ w_rec.data)[take]
                 np.tanh(z[:, 2 * n:3 * n], out=g)
                 np.exp(np.negative(z, out=z), out=z)
                 np.divide(1.0, np.add(z, 1.0, out=z), out=z)
                 z[:, 2 * n:3 * n] = g
                 if t:
-                    c_prev = c[psl] if starts is None else c[psl][parents[t - 1]]
-                    np.multiply(z[:, n:2 * n], c_prev, out=c[sl])
+                    np.multiply(z[:, n:2 * n], c[psl][take], out=c[sl])
                     c[sl] += z[:, :n] * g
                 else:
                     np.multiply(z[:, :n], g, out=c[sl])
@@ -124,12 +122,10 @@ def lstm_sequence(x, parents, layers):
 
 def _segment_starts(p, prev):
     """Where each of the `prev` parents' runs of children starts in the
-    parent map `p`, or None when `p` is the identity."""
-    if p.ndim != 1 or (p.dtype.kind not in "iu" and p.size):
+    parent map `p`."""
+    if p.ndim != 1 or p.dtype.kind not in "iu":
         raise ShapeError(f"lstm_sequence: a parent map must be a 1-d integer array, "
                          f"got {p.dtype} {p.shape}")
-    if len(p) == prev and np.array_equal(p, np.arange(prev)):
-        return None
     first = np.ones(len(p), dtype=bool)
     first[1:] = p[1:] != p[:-1]
     starts = np.flatnonzero(first)
@@ -150,10 +146,8 @@ def _layer_backward(d_up, steps, gpar, w_in, w_rec, inp, gates, c, h, tc):
     di, df, dg, do = (dz[:, k * n:(k + 1) * n] for k in range(4))
     di *= g
     df[:n0] = 0.0  # step 0's previous cell is zero
-    # without shared prefixes, node k's parent is node k - n0, and the
-    # children's summed dz is dz itself
-    df[n0:] *= c[:n_inner] if gpar is None else c[gpar]
-    dz_sum = dz[n0:] if gpar is None else np.empty((n_inner, 4 * n), dtype=dz.dtype)
+    df[n0:] *= c[gpar]
+    dz_sum = np.empty((n_inner, 4 * n), dtype=dz.dtype)  # per node, its children's dz
     np.subtract(1.0, np.multiply(g, g, out=dg), out=dg)
     dg *= i
     do *= tc
@@ -170,9 +164,8 @@ def _layer_backward(d_up, steps, gpar, w_in, w_rec, inp, gates, c, h, tc):
         if not t:
             break
         dc *= f[sl]
-        if starts is None:
-            if gpar is not None:
-                dz_sum[psl] = dz[sl]
+        if len(starts) == len(dc):  # one child per parent: the sums are the children's own
+            dz_sum[psl] = dz[sl]
             dc_next = dc
         else:
             np.add.reduceat(dz[sl], starts, axis=0, out=dz_sum[psl])

@@ -172,17 +172,30 @@ def _cmd_train(args):
     report = harness.evaluate(model, enc)
     print(f"checkpoint: {args.out}")
     print(f"best_epoch: {history.best_epoch}")
-    print(f"train_accuracy: {reports.round_half_up(report.total_accuracy or 0.0):.1f}")
+    print(f"train_accuracy: {reports.fmt_rounded(report.total_accuracy or 0.0)}")
     return 0
+
+
+def _checkpoint_vocab(path, extras, key, size):
+    """The vocabulary of the checkpoint extra `key`: a list of `size` distinct strings."""
+    items = extras.get(key)
+    if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
+        raise FormatError(f"{path}: checkpoint extra {key!r} is not a list of strings")
+    vocab = textenc.Vocabulary.of(items)
+    if len(vocab) != size:
+        raise FormatError(f"{path}: checkpoint extra {key!r} holds {len(vocab)} distinct "
+                          f"entries, but the model expects {size}")
+    return vocab
 
 
 def _cmd_eval(args):
     model, extras = models.load_model_with_extras(args.model)
-    if not extras or "tokens" not in extras:
+    if not isinstance(extras, dict) or "tokens" not in extras:
         raise ConfigError(f"{args.model}: checkpoint lacks vocabulary extras; "
                           "train it through this toolkit")
-    vocab = textenc.Vocabulary.of(extras["tokens"])
-    avocab = textenc.Vocabulary.of(extras["answers"])
+    vocab, avocab = (_checkpoint_vocab(args.model, extras, key, size)
+                     for key, size in (("tokens", model.config.vocab_size),
+                                       ("answers", model.config.n_answers)))
     features = corpus.load_features(args.features)
     with open(args.data, "r", encoding="utf-8") as fh:
         head = fh.readline()
@@ -204,17 +217,15 @@ def _cmd_eval(args):
         raise ConfigError(f"{args.data}: not a reformatted dataset file")
     report = harness.evaluate(model, enc)
     for t in enc.tasks:
-        acc = report.accuracy(t)
-        shown = "-" if acc is None else f"{reports.round_half_up(acc):.1f}"
-        print(f"{t.value}: {shown} ({report.counts[t]} slots)")
+        print(f"{t.value}: {reports.fmt_rounded(report.accuracy(t))} "
+              f"({report.counts[t]} slots)")
     total = report.total_accuracy
-    print(f"total: {'-' if total is None else f'{reports.round_half_up(total):.1f}'}")
+    print(f"total: {reports.fmt_rounded(total)}")
     if args.out:
         rows = ["type,accuracy,count"]
         for t in enc.tasks:
-            acc = report.accuracy(t)
-            rows.append(f"{t.value},{'' if acc is None else repr(acc)},{report.counts[t]}")
-        rows.append(f"total,{'' if total is None else repr(total)},{sum(report.counts.values())}")
+            rows.append(f"{t.value},{reports.fmt_raw(report.accuracy(t))},{report.counts[t]}")
+        rows.append(f"total,{reports.fmt_raw(total)},{sum(report.counts.values())}")
         Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
     return 0
 
@@ -244,8 +255,7 @@ def _cmd_experiment(args):
     path = reports.write_experiment_reports(args.out, report, manifest_extra)
     print(f"report: {path}")
     for label, per_type, total in report.rows:
-        shown = "-" if total is None else f"{reports.round_half_up(total):.1f}"
-        print(f"{label}: total {shown}")
+        print(f"{label}: total {reports.fmt_rounded(total)}")
     return 0
 
 

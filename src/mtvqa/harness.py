@@ -52,6 +52,14 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_epochs_nadam < 0 or self.max_epochs_sgd < 0:
             raise ConfigError("epoch caps must be >= 0")
+        if not 0.0 <= self.min_delta < np.inf:  # NaN fails every comparison
+            raise ConfigError("min_delta must be finite and >= 0")
+        for name in ("nadam_lr", "sgd_lr", "nadam_eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
+        for name in ("nadam_beta1", "nadam_beta2", "sgd_momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
         if self.keep not in ("best", "last"):
             raise ConfigError("keep must be 'best' or 'last'")
         if self.seed < 0:
@@ -153,24 +161,23 @@ def train(model, data, cfg):
     if len(data) == 0:
         raise ConfigError("training data is empty")
     history = TrainHistory()
-    if cfg.max_epochs_nadam == 0 and cfg.max_epochs_sgd == 0:
-        return model, history
-
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _image_level_split(data.image_ids, cfg.val_fraction, rng)
     params = list(model.params.values())
-    best = None  # the best epoch's parameter vector
-    best_val = np.inf
-    best_epoch = None
     epoch = 0
-
-    def run_phase(phase, optimizer, max_epochs):
-        nonlocal epoch, best, best_val, best_epoch
+    phases = (("nadam", cfg.max_epochs_nadam,
+               lambda: Nadam(params, lr=cfg.nadam_lr, beta1=cfg.nadam_beta1,
+                             beta2=cfg.nadam_beta2, eps=cfg.nadam_eps)),
+              ("sgd", cfg.max_epochs_sgd,
+               lambda: SgdMomentum(params, lr=cfg.sgd_lr, momentum=cfg.sgd_momentum)))
+    for phase, max_epochs, make_optimizer in phases:
         if max_epochs == 0:
-            return
+            continue
+        if phase == "sgd":
+            history.phase_transition_epoch = epoch + 1
+        # made once the phase before has restored `best`, so it packs those values
+        optimizer = make_optimizer()
         phase_best = np.inf
-        phase_best_epoch = None
-        bad = 0
         for _ in range(max_epochs):
             epoch += 1
             order = train_idx[rng.permutation(len(train_idx))]
@@ -194,31 +201,18 @@ def train(model, data, cfg):
             history.records.append(EpochRecord(epoch=epoch, phase=phase,
                                                train_loss=train_loss, val_loss=val_loss,
                                                val_accuracy=val_acc))
-            if val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best = optimizer.data.copy()
+            if history.best_epoch is None or val_loss < history.best_val_loss:
+                history.best_epoch, history.best_val_loss = epoch, float(val_loss)
+                best = optimizer.data.copy()  # the best epoch's parameter vector
+            # `min_delta` is finite, so a phase's first epoch always improves
             if val_loss < phase_best - cfg.min_delta:
                 phase_best = val_loss
-                phase_best_epoch = epoch
-                bad = 0
-            else:
-                bad += 1
-                if bad >= cfg.patience:
-                    break
-        history.convergence_epoch[phase] = phase_best_epoch
+                history.convergence_epoch[phase] = epoch
+            elif epoch - history.convergence_epoch[phase] >= cfg.patience:
+                break
         if cfg.keep == "best":  # both optimizers pack `params` in one order
             optimizer.data[...] = best
-
-    run_phase("nadam", Nadam(params, lr=cfg.nadam_lr, beta1=cfg.nadam_beta1,
-                             beta2=cfg.nadam_beta2, eps=cfg.nadam_eps),
-              cfg.max_epochs_nadam)
-    if cfg.max_epochs_sgd > 0:
-        history.phase_transition_epoch = epoch + 1
-        run_phase("sgd", SgdMomentum(params, lr=cfg.sgd_lr, momentum=cfg.sgd_momentum),
-                  cfg.max_epochs_sgd)
-    history.best_epoch = best_epoch
-    history.best_val_loss = None if best_epoch is None else float(best_val)
+        del optimizer  # so its vectors are freed before the next phase packs its own
     return model, history
 
 

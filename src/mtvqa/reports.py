@@ -17,11 +17,11 @@ def round_half_up(x):
     return float(Decimal(repr(float(x))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def _fmt_raw(v):
+def fmt_raw(v):
     return "" if v is None else repr(float(v))
 
 
-def _fmt_rounded(v):
+def fmt_rounded(v):
     return "-" if v is None else f"{round_half_up(v):.1f}"
 
 
@@ -29,7 +29,7 @@ def experiment_to_csv(report):
     cols = ["label"] + list(report.tasks) + ["total"]
     lines = [",".join(cols)]
     for label, per_type, total in report.rows:
-        cells = [label] + [_fmt_raw(per_type[t]) for t in report.tasks] + [_fmt_raw(total)]
+        cells = [label] + [fmt_raw(per_type[t]) for t in report.tasks] + [fmt_raw(total)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -41,8 +41,8 @@ def per_seed_to_csv(report):
         epochs = report.convergence.get(label, [None] * len(runs))
         for seed, run, epoch in zip(report.seeds, runs, epochs):
             cells = ([label, str(seed)]
-                     + [_fmt_raw(run[t]) for t in report.tasks]
-                     + [_fmt_raw(run["total"]),
+                     + [fmt_raw(run[t]) for t in report.tasks]
+                     + [fmt_raw(run["total"]),
                         "" if epoch is None else str(epoch)])
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -54,8 +54,8 @@ def experiment_to_markdown(report):
              "| " + " | ".join(head) + " |",
              "|" + "---|" * len(head)]
     for label, per_type, total in report.rows:
-        cells = [label] + [_fmt_rounded(per_type[t]) for t in report.tasks]
-        cells.append(_fmt_rounded(total))
+        cells = [label] + [fmt_rounded(per_type[t]) for t in report.tasks]
+        cells.append(fmt_rounded(total))
         lines.append("| " + " | ".join(cells) + " |")
     if report.convergence:
         lines.append("")

@@ -164,6 +164,32 @@ def test_eval_of_a_bad_config_echo_exits_1_with_one_error_line(pipeline_dir, cap
     assert "filter_widths" in err
 
 
+@pytest.mark.parametrize("case", ["answers_missing", "answers_short", "tokens_not_strings"])
+def test_eval_of_bad_vocabulary_extras_exits_1_naming_the_checkpoint(pipeline_dir, capsys,
+                                                                     tmp_path, case):
+    from mtvqa.autodiff.checkpoint import load_checkpoint, save_checkpoint
+    assert main(_train_argv(pipeline_dir, tmp_path, "--set", "max_epochs_nadam=1",
+                            "--set", "max_epochs_sgd=0", "--model-set", "embed_dim=4",
+                            "--model-set", "hidden_dim=6")) == 0
+    capsys.readouterr()
+    params, meta = load_checkpoint(tmp_path / "m.ckpt")
+    extras = meta["extras"]
+    if case == "answers_missing":
+        del extras["answers"]
+    elif case == "answers_short":
+        extras["answers"] = extras["answers"][:-1]
+    else:
+        extras["tokens"] = list(range(len(extras["tokens"])))
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, params, config=meta)
+    code, out, err = run(capsys, "eval", "--model", str(ckpt),
+                         "--data", str(pipeline_dir / "data" / "multitask.tsv"),
+                         "--features", str(pipeline_dir / "corpus" / "features.feat"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(ckpt) in err and repr(case.split("_")[0]) in err
+
+
 def _experiment_args(outdir, seed="5"):
     return ["experiment", "--kind", "mtl_vs_stl", "--out", str(outdir),
             "--seeds", "1", "--seed", seed,

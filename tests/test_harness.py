@@ -85,16 +85,20 @@ def test_zero_epochs_returns_initialized_model(bundle, small_cfg):
 
 def test_history_has_single_phase_transition(bundle, small_cfg):
     enc = bundle.encode_combined(bundle.train_combined)
-    model = _fresh_model(bundle, small_cfg)
-    _, hist = train(model, enc, _quick_cfg(max_epochs_nadam=3, max_epochs_sgd=3))
-    phases = [r.phase for r in hist.records]
-    transitions = sum(1 for a, b in zip(phases, phases[1:]) if a != b)
-    assert transitions == 1
-    assert phases[0] == "nadam" and phases[-1] == "sgd"
-    assert hist.phase_transition_epoch == 4
-    assert set(hist.convergence_epoch) == {"nadam", "sgd"}
-    epochs = [r.epoch for r in hist.records]
-    assert epochs == list(range(1, len(epochs) + 1))
+    # (Nadam cap, SGD cap): first phase, transitions, SGD's first epoch, phases
+    for nadam, sgd, first, n_transitions, sgd_epoch, ran in (
+            (3, 3, "nadam", 1, 4, ["nadam", "sgd"]),
+            (0, 3, "sgd", 0, 1, ["sgd"])):
+        model = _fresh_model(bundle, small_cfg)
+        _, hist = train(model, enc, _quick_cfg(max_epochs_nadam=nadam, max_epochs_sgd=sgd))
+        phases = [r.phase for r in hist.records]
+        transitions = sum(1 for a, b in zip(phases, phases[1:]) if a != b)
+        assert transitions == n_transitions
+        assert phases[0] == first and phases[-1] == "sgd"
+        assert hist.phase_transition_epoch == sgd_epoch
+        assert list(hist.convergence_epoch) == ran
+        epochs = [r.epoch for r in hist.records]
+        assert epochs == list(range(1, len(epochs) + 1))
 
 
 def test_training_loss_decreases(bundle, small_cfg):
@@ -122,12 +126,18 @@ def test_empty_data_rejected(bundle, small_cfg):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(patience=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(val_fraction=1.5).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0).validate()
+    for bad in (dict(patience=0), dict(val_fraction=1.5), dict(batch_size=0),
+                dict(min_delta=float("nan")), dict(min_delta=float("inf")),
+                dict(min_delta=-1e-4), dict(nadam_lr=0.0), dict(nadam_lr=-1e-3),
+                dict(nadam_lr=float("nan")), dict(nadam_lr=float("inf")), dict(sgd_lr=0.0),
+                dict(sgd_lr=float("nan")), dict(nadam_beta1=1.0), dict(nadam_beta1=-0.1),
+                dict(nadam_beta2=float("nan")), dict(nadam_beta2=1.0), dict(sgd_momentum=1.0),
+                dict(sgd_momentum=-0.5), dict(nadam_eps=0.0), dict(nadam_eps=-1e-8),
+                dict(nadam_eps=float("nan"))):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad).validate()
+    # each range's closed end passes
+    TrainConfig(min_delta=0.0, nadam_beta1=0.0, nadam_beta2=0.0, sgd_momentum=0.0).validate()
 
 
 def test_image_level_split_never_straddles():

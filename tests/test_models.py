@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mtvqa.autodiff.lstm as lstm_module
 from mtvqa import autodiff as ad
 from mtvqa.autodiff.checkpoint import save_checkpoint
 from mtvqa.corpus import QuestionType
@@ -640,15 +641,28 @@ def _rows_of_repeats(model, rng, batch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_a_model_computes_in_its_own_dtype_with_no_silent_upcast(variant, dtype):
+def test_a_model_computes_in_its_own_dtype_with_no_silent_upcast(variant, dtype,
+                                                                 monkeypatch):
     # a first gradient is its own array, so an operator that made a wider
     # scratch array would show here as a wider `.grad`; packed, the
-    # optimizers would silently narrow it instead
+    # optimizers would silently narrow it instead, and so would `_accum`
+    # adding it in place, so every gradient handed to `_accum` is checked too
     model = tiny_model(variant, seed=2, emb_scale=1.0, dtype=dtype)
     assert model.dtype == dtype
     images, ids, targets, mask = _rows_of_repeats(model, np.random.default_rng(15), 64)
+    accum, handed = ad.tensor._accum, []
+
+    def checked(t, g, rows=...):
+        handed.append((t, np.asarray(g).dtype))
+        accum(t, g, rows)
+
+    for module in (ad.tensor, lstm_module):  # the LSTM imports `_accum` by name
+        monkeypatch.setattr(module, "_accum", checked)
     loss, _ = model.loss(images, ids, targets, mask)
     loss.backward()
+    assert handed
+    for t, g_dtype in handed:
+        assert g_dtype == t.data.dtype == dtype, f"{t!r} was handed a {g_dtype} gradient"
     nodes = ad.tensor._toposort(loss)
     assert {p.op for p in nodes} >= {"param", "const", "affine", "tanh", "embedding"}
     for node in nodes:
