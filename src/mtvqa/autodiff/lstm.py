@@ -2,10 +2,10 @@
 
 A question's LSTM state after token t depends only on tokens 0..t, so rows
 that share a prefix share its states.  The operator runs over the nodes of
-the rows' prefix trie: step t holds one node per distinct (t+1)-token
-prefix, and each node of step t > 0 continues one parent node of step
-t - 1.  This is the computation sharing of RadixAttention (Zheng et al.
-2023, arXiv:2312.07104).
+the rows' prefix trie, read from the lexsorted rows' prefix marks: step t
+holds one node per distinct (t+1)-token prefix, each continuing one node of
+step t - 1.  This is the computation sharing of RadixAttention (Zheng et
+al. 2023, arXiv:2312.07104).
 
 The forward pass keeps every node's gate values and the backward pass runs
 backpropagation through time over them by hand, so encoding the questions
@@ -30,16 +30,16 @@ from ..errors import ShapeError
 from .tensor import _accum, _node
 
 
-def lstm_sequence(x, parents, layers):
+def lstm_sequence(x, new, layers):
     """Run a stack of LSTM layers over the nodes of a prefix trie.
 
     `x` is (nodes, channels): the inputs of step 0's nodes, then of step
-    1's, and so on.  `parents` holds one integer array per step after the
-    first; entry j of `parents[t - 1]` is the index among step t - 1's nodes
-    of the parent of step t's node j.  Each array must be nondecreasing and
-    reach every node of the step before, so each parent's children are
-    contiguous; step 0 has the nodes the arrays leave over.  A batch of
-    rows that share nothing is `parents = [np.arange(rows)] * (steps - 1)`.
+    1's, and so on.  `new` is the (rows, steps) bool prefix marks of
+    lexsorted rows: `new[r, t]` is true when row r's first t + 1 tokens
+    differ from row r - 1's.  So column t marks the first row of each of
+    step t's nodes, in order, and the node that row r starts at step t
+    continues the node row r is in at step t - 1.  Rows that share no
+    prefix are `np.ones((rows, steps), dtype=bool)`.
 
     `layers` is a list of (w_in, w_rec, bias) triples, one per layer, the
     first consuming the input channels and the rest the hidden size below.
@@ -61,18 +61,22 @@ def lstm_sequence(x, parents, layers):
                 f"{bias.data.shape} inconsistent with input width {in_dim} "
                 f"and hidden size {hidden}")
         in_dim = hidden
-    parents = [np.asarray(p) for p in parents]
-    sizes = [n_nodes - sum(len(p) for p in parents)] + [len(p) for p in parents]
-    if sizes[0] < 0:
-        raise ShapeError(f"lstm_sequence: parent maps name {n_nodes - sizes[0]} "
-                         f"nodes but x has {n_nodes}")
+    new = np.asarray(new)
+    if (new.ndim != 2 or new.dtype != bool or not new.shape[1] or not new[:1].all()
+            or (new[:, :-1] > new[:, 1:]).any() or new.sum() != n_nodes):
+        raise ShapeError(f"lstm_sequence: prefix marks {new.dtype} {new.shape} must be 2-d "
+                         f"bool over at least one step, all true in row 0, never true then "
+                         f"false along a row, and true {n_nodes} times, once per node of x")
+    sizes = new.sum(axis=0).tolist()
     off = np.cumsum([0] + sizes).tolist()
-    # per step: its nodes, its parents' nodes, and its parent map's segment starts
+    node = np.cumsum(new, axis=0) - 1  # node[r, t]: row r's node among step t's
+    parents = [node[new[:, t], t - 1] for t in range(1, len(sizes))]
+    # per step: its nodes, its parents' nodes, and where each parent's run of children starts
     steps = [(slice(off[t], off[t + 1]), slice(off[t - 1], off[t]) if t else None,
-              _segment_starts(parents[t - 1], sizes[t - 1]) if t else None)
+              np.flatnonzero(new[new[:, t], t - 1]) if t else None)
              for t in range(len(sizes))]
     # every node but step 0's, none in a one-step call: its parent's index among all nodes
-    gpar = np.concatenate([np.arange(0)] + [s[1].start + p for s, p in zip(steps[1:], parents)])
+    gpar = np.concatenate([np.arange(0)] + [off[t] + p for t, p in enumerate(parents)])
 
     # per layer: weights, (nodes, in) input, gates (i, f, g, o), c, h and tanh(c)
     saved = []
@@ -118,21 +122,6 @@ def lstm_sequence(x, parents, layers):
         _accum(x, d_up)
 
     return _node(h[last].copy(), (x, *weights), "lstm_sequence", _bw)
-
-
-def _segment_starts(p, prev):
-    """Where each of the `prev` parents' runs of children starts in the
-    parent map `p`."""
-    if p.ndim != 1 or p.dtype.kind not in "iu":
-        raise ShapeError(f"lstm_sequence: a parent map must be a 1-d integer array, "
-                         f"got {p.dtype} {p.shape}")
-    first = np.ones(len(p), dtype=bool)
-    first[1:] = p[1:] != p[:-1]
-    starts = np.flatnonzero(first)
-    if not np.array_equal(p[starts], np.arange(prev)):
-        raise ShapeError(f"lstm_sequence: a parent map must be nondecreasing and "
-                         f"reach each of the {prev} nodes of the step before")
-    return starts
 
 
 def _layer_backward(d_up, steps, gpar, w_in, w_rec, inp, gates, c, h, tc):

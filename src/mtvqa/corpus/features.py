@@ -71,11 +71,14 @@ def _load_binary(path):
         raise FormatError(f"{path}: malformed feature archive ({exc})") from exc
     if mat.shape != (len(ids), dim):
         raise FormatError(f"{path}: matrix shape {mat.shape} inconsistent with header")
+    vectors = dict(zip(ids, mat))
+    if len(vectors) < len(ids):
+        repeated = next(i for i in vectors if ids.count(i) > 1)
+        raise FormatError(f"{path}: image {repeated!r} is listed more than once")
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if len(bad):
         raise FormatError(f"{path}: image {ids[bad[0]]!r} has a non-finite value")
-    return FeatureStore(vectors={i: mat[k] for k, i in enumerate(ids)},
-                        feature_dim=dim)
+    return FeatureStore(vectors=vectors, feature_dim=dim)
 
 
 def _load_text(path):
@@ -93,6 +96,8 @@ def _load_text(path):
             continue
         parts = line.split()
         image_id, vals = parts[0], parts[1:]
+        if image_id in vectors:
+            raise FormatError(f"{path}:{lineno}: image {image_id!r} is listed more than once")
         if len(vals) != dim:
             raise FormatError(
                 f"{path}:{lineno}: record {image_id!r} has {len(vals)} values, expected {dim}")

@@ -4,6 +4,7 @@ seeded random hyperparameter search."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,15 +90,27 @@ class TrainHistory:
     @staticmethod
     def from_dict(d):
         """The history `to_dict` gave; a missing or malformed field raises `FormatError`."""
+        def finite(v):  # a real number, and not a bool, inf or NaN
+            return type(v) is int or isinstance(v, float) and math.isfinite(v)
         try:
-            return TrainHistory(records=[EpochRecord(**r) for r in d["records"]],
-                                convergence_epoch=dict(d["convergence_epoch"]),
-                                best_epoch=d["best_epoch"], best_val_loss=d["best_val_loss"],
-                                phase_transition_epoch=d["phase_transition_epoch"])
+            history = TrainHistory(records=[EpochRecord(**r) for r in d["records"]],
+                                   convergence_epoch=dict(d["convergence_epoch"]),
+                                   best_epoch=d["best_epoch"], best_val_loss=d["best_val_loss"],
+                                   phase_transition_epoch=d["phase_transition_epoch"])
         except KeyError as exc:
             raise FormatError(f"training history lacks field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise FormatError(f"malformed training history: {exc}") from exc
+        for k, r in enumerate(history.records, start=1):
+            ok = {"epoch": type(r.epoch) is int and r.epoch >= 1,
+                  "phase": r.phase in ("nadam", "sgd"),
+                  "train_loss": finite(r.train_loss), "val_loss": finite(r.val_loss),
+                  "val_accuracy": r.val_accuracy is None or finite(r.val_accuracy)}
+            bad = [name for name, good in ok.items() if not good]
+            if bad:
+                raise FormatError(f"training history record {k} has a bad {bad[0]}: "
+                                  f"{getattr(r, bad[0])!r}")
+        return history
 
 
 def _image_level_split(image_ids, val_fraction, rng):

@@ -52,8 +52,8 @@ class ModelConfig:
     classifier_dims: tuple = (128,)
 
     def validate(self):
-        if not self.tasks:
-            raise ConfigError("tasks must be non-empty")
+        if not self.tasks or len(set(self.tasks)) < len(self.tasks):
+            raise ConfigError("tasks must be non-empty and distinct")
         if self.n_answers < 1:
             raise ConfigError("answer vocabulary must be non-empty")
         if not self.filter_widths:
@@ -121,22 +121,16 @@ _FROM_ECHO = {"tasks": lambda v: tuple(parse_qtype(t) for t in v),
               "classifier_dims": lambda v: tuple(map(_echo_int, v))}
 
 
-def _sorted_prefixes(a):
-    """Lexsort the rows of 2-d ints `a`: returns the order, the sorted rows
-    and `new`, where `new[r, t]` is true when sorted row r's first t + 1 ids
-    differ from the row before's.  Rows sharing a prefix are adjacent, so
-    `new[:, t]` marks the first row of each distinct (t + 1)-id prefix."""
+def _distinct_rows(a):
+    """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one
+    lexsort, and the distinct rows' prefix marks `new`: `new[r, t]` is true
+    when distinct row r's first t + 1 ids differ from row r - 1's.  Rows
+    sharing a prefix are adjacent in the sort, so `new[:, t]` marks the
+    first row of each distinct (t + 1)-id prefix."""
     order = np.lexsort(a.T[::-1])
     ordered = a[order]
     new = np.ones(a.shape, dtype=bool)
     np.logical_or.accumulate(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    return order, ordered, new
-
-
-def _distinct_rows(a):
-    """`np.unique(a, axis=0, return_inverse=True)` of 2-d ints from one
-    lexsort, and the distinct rows' prefix marks (`_sorted_prefixes`)."""
-    order, ordered, new = _sorted_prefixes(a)
     first = new[:, -1]
     inv = np.empty(len(a), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
@@ -229,19 +223,15 @@ class Model:
         (rows, max_len) ids, given their prefix marks `new`, as
         `_distinct_rows` returns both.
 
-        The stacked LSTM runs over the rows' prefix trie: step t embeds and
-        runs each distinct (t + 1)-id prefix once, as one node whose parent
-        is its t-id prefix (`ad.lstm_sequence`), so rows that share their
-        first tokens share those steps' states.  The top layer's state at
-        each row's last node, the last step's nodes in row order, passes a
-        tanh projection.
+        The stacked LSTM runs each distinct (t + 1)-id prefix once at step
+        t, over the prefix trie the marks describe (`ad.lstm_sequence`), so
+        rows that share their first tokens share those steps' states.  The
+        top layer's state at each row's last node passes a tanh projection.
         """
-        node = np.cumsum(new, axis=0) - 1  # node[r, t]: row r's node among step t's
-        parents = [node[new[:, t], t - 1] for t in range(1, rows.shape[1])]
         seq = ad.embedding(self.params["embedding"], rows.T[new.T])  # step-major node tokens
         layers = [(self.params[f"lstm.l{li}.Wx"], self.params[f"lstm.l{li}.Wh"],
                    self.params[f"lstm.l{li}.b"]) for li in range(self.config.lstm_depth)]
-        h_top = ad.lstm_sequence(seq, parents, layers)
+        h_top = ad.lstm_sequence(seq, new, layers)
         return ad.tanh(ad.affine(h_top, self.params["qproj.W"], self.params["qproj.b"]))
 
     def loss(self, images, ids, targets, mask):
@@ -350,12 +340,14 @@ def load_model_with_extras(path):
     config = ModelConfig.from_dict(meta["config"])
     model = build_model(meta["variant"], config,
                         np.zeros((config.vocab_size, config.embed_dim)), seed=0, dtype=dtype)
+    extra = [name for name in raw if name not in model.params]
+    if extra:
+        raise FormatError(f"{path}: checkpoint has unexpected parameter {extra[0]}")
     for name, p in model.params.items():
         if name not in raw:
             raise FormatError(f"{path}: checkpoint is missing parameter {name}")
-        arr = np.asarray(raw[name], dtype=np.float64)
-        if arr.shape != p.data.shape:
+        if raw[name].shape != p.data.shape:  # `load_checkpoint` gives float64 arrays
             raise FormatError(
-                f"{path}: parameter {name} has shape {arr.shape}, expected {p.data.shape}")
-        p.data[...] = arr
+                f"{path}: parameter {name} has shape {raw[name].shape}, expected {p.data.shape}")
+        p.data[...] = raw[name]
     return model, meta.get("extras")

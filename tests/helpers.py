@@ -204,7 +204,7 @@ def op_case_lstm_sequence(rng):
     # a trie of 2, 3, 3 and 4 nodes: steps 1 and 3 share prefixes, step 2
     # maps one-to-one onto step 1
     hidden = 3
-    parents = [np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([0, 0, 1, 2])]
+    new = np.array([[1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 1, 1]], dtype=bool)
     x = _p(rng, (12, 2), "x")
     layers = [( _p(rng, (2, 4 * hidden), "l0.Wx"),
                 _p(rng, (hidden, 4 * hidden), "l0.Wh"),
@@ -214,18 +214,22 @@ def op_case_lstm_sequence(rng):
                 _p(rng, (4 * hidden,), "l1.b"))]
     w = rng.normal(size=(4, hidden))
     params = [x] + [t for layer in layers for t in layer]
-    return lambda: weighted_sum(ad.lstm_sequence(x, parents, layers), w), params
+    return lambda: weighted_sum(ad.lstm_sequence(x, new, layers), w), params
 
 
-def lstm_reference(x, parents, layers):
+def lstm_reference(x, new, layers):
     """Plain-numpy stacked LSTM over prefix-trie nodes in `lstm_sequence`'s
-    arithmetic: step-major (nodes, channels) inputs and one parent map per
-    step after the first -> top h at the last step's nodes, gates in the
-    order input, forget, candidate, output.  Each layer runs over every step
+    arithmetic: step-major (nodes, channels) inputs and the (rows, steps)
+    prefix marks -> top h at the last step's nodes, gates in the order
+    input, forget, candidate, output.  Each layer runs over every step
     before the next, with one input GEMM over all nodes; a step's recurrent
-    term and previous cell are its parents', gathered."""
-    sizes = [len(x) - sum(len(p) for p in parents)] + [len(p) for p in parents]
-    bounds = np.cumsum([0] + sizes)
+    term and previous cell are its parents', gathered.  The parent of the
+    node row r starts at step t is the last node of step t - 1 that a row
+    at or above r starts."""
+    sizes = new.sum(axis=0)
+    bounds = np.cumsum(np.r_[0, sizes])
+    parents = [np.array([new[:r + 1, t - 1].sum() - 1 for r in np.flatnonzero(new[:, t])],
+                        dtype=np.intp) for t in range(1, new.shape[1])]
     inp = x
     for w_in, w_rec, bias in layers:
         n = w_rec.shape[0]

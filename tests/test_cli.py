@@ -307,13 +307,27 @@ def _train_argv(pipeline_dir, tmp_path, *extra):
             "--out", str(tmp_path / "m.ckpt"), *extra]
 
 
+def _history(**record):
+    """A one-record history JSON whose record has the fields `record` sets."""
+    record = dict({"epoch": 1, "phase": "nadam", "train_loss": 0.5, "val_loss": 0.6,
+                   "val_accuracy": 50.0}, **record)
+    return json.dumps({"records": [record], "convergence_epoch": {}, "best_epoch": None,
+                       "best_val_loss": None, "phase_transition_epoch": None})
+
+
 # what `mtvqa report` reads as a training history, by case
 _BAD_HISTORIES = {"history_no_records": "{}",
                   "history_record_fields": '{"records": [{"epoch": 1, "phase": "nadam"}], '
                                            '"convergence_epoch": {}, "best_epoch": null, '
                                            '"best_val_loss": null, '
                                            '"phase_transition_epoch": null}',
-                  "history_not_json": "epoch 1: loss 0.5\n"}
+                  "history_not_json": "epoch 1: loss 0.5\n",
+                  "history_train_loss_str": _history(train_loss="x"),
+                  "history_val_accuracy_str": _history(val_accuracy="abc"),
+                  "history_train_loss_bool": _history(train_loss=True),
+                  "history_val_loss_nan": _history(val_loss=float("nan")),
+                  "history_epoch_zero": _history(epoch=0),
+                  "history_phase_unknown": _history(phase="adam")}
 
 
 @pytest.mark.parametrize("case", ["synth_seed", "train_seed", "env_seed", "set_seed",
@@ -338,7 +352,7 @@ def test_input_errors_exit_1_with_one_error_line(case, pipeline_dir, tmp_path, c
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert not (tmp_path / "m.ckpt").exists()
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "loss.svg").exists()
 
 
 def test_bad_env_seed_leaves_seedless_subcommands_alone(pipeline_dir, capsys, monkeypatch):

@@ -50,6 +50,22 @@ def test_feature_two_records(tmp_path):
     assert len(store) == 2 and store.feature_dim == 4
 
 
+def test_feature_text_repeated_image_names_path_and_line(tmp_path):
+    path = tmp_path / "f.feat"
+    path.write_text("mtvqa-feat v1 2\nimg1 1 2\nimg2 3 4\nimg1 5 6\n")
+    with pytest.raises(FormatError, match=r"f\.feat:4: image 'img1' is listed more than once"):
+        load_features(path)
+
+
+def test_feature_archive_repeated_image_names_it(tmp_path):
+    path = tmp_path / "f.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, magic=np.array("mtvqa-feat v1"), dim=np.array(2),
+                 ids=np.array(["img0", "img1", "img1"]), matrix=np.zeros((3, 2)))
+    with pytest.raises(FormatError, match=r"f\.npz: image 'img1' is listed more than once"):
+        load_features(path)
+
+
 def test_feature_dim_mismatch_names_record(tmp_path):
     path = tmp_path / "f.feat"
     path.write_text("mtvqa-feat v1 4\nimg1 1 2 3 4\nimg2 5 6 7 8 9\n")

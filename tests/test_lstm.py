@@ -17,25 +17,27 @@ def _params(arrs):
 
 
 def _per_row(seq):
-    """Node inputs and parent maps of a (rows, steps, channels) sequence
-    whose rows share no prefix: every parent map is the identity."""
+    """Node inputs and prefix marks of a (rows, steps, channels) sequence
+    whose rows share no prefix: every mark is true."""
     rows, steps, channels = seq.shape
-    return seq.transpose(1, 0, 2).reshape(steps * rows, channels), [np.arange(rows)] * (steps - 1)
+    return (seq.transpose(1, 0, 2).reshape(steps * rows, channels),
+            np.ones((rows, steps), dtype=bool))
 
 
 def _trie(ids):
-    """The prefix trie of the rows of (rows, steps) `ids`, built from sets of
-    tuples: (step-major node tokens, parent maps, each row's last node).
-    Each step's prefixes are in sorted order, so parent maps are
-    nondecreasing."""
+    """The prefix trie of the rows of (rows, steps) `ids`, built from sorted
+    tuples: (step-major node tokens, prefix marks of the sorted distinct
+    rows, each row's last node).  A mark is true where a distinct row's
+    prefix differs from the one of the row before."""
     steps = ids.shape[1]
-    prefixes = [sorted({tuple(r[:t + 1]) for r in ids.tolist()}) for t in range(steps)]
-    index = [{p: k for k, p in enumerate(ps)} for ps in prefixes]
-    tokens = np.array([p[-1] for ps in prefixes for p in ps], dtype=np.int64)
-    parents = [np.array([index[t - 1][p[:-1]] for p in prefixes[t]], dtype=np.intp)
-               for t in range(1, steps)]
-    last = np.array([index[-1][tuple(r)] for r in ids.tolist()], dtype=np.intp)
-    return tokens, parents, last
+    distinct = sorted({tuple(r) for r in ids.tolist()})
+    new = np.array([[k == 0 or r[:t + 1] != distinct[k - 1][:t + 1] for t in range(steps)]
+                    for k, r in enumerate(distinct)], dtype=bool).reshape(-1, steps)
+    tokens = np.array([r[t] for t in range(steps) for k, r in enumerate(distinct) if new[k, t]],
+                      dtype=np.int64)
+    index = {r: k for k, r in enumerate(distinct)}
+    last = np.array([index[tuple(r)] for r in ids.tolist()], dtype=np.intp)
+    return tokens, new, last
 
 
 def _layers(rng, depth, in_dim, hidden):
@@ -57,16 +59,16 @@ def _stacked_case(rng, hidden=4):
               (ad.constant(rng.normal(size=(hidden, 4 * hidden))),
                ad.constant(rng.normal(size=(hidden, 4 * hidden))),
                ad.constant(rng.normal(size=4 * hidden)))]
-    parents = [np.array([0, 0, 1]), np.array([0, 1, 1, 2]), np.arange(4)]
-    return ad.constant(rng.normal(size=(13, 3))), parents, layers
+    new = np.array([[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]], dtype=bool)
+    return ad.constant(rng.normal(size=(13, 3))), new, layers
 
 
 def test_all_zero_cell_stays_zero():
     # zero weights and input: every gate sits at 0.5, the candidate at 0
-    x, parents = _per_row(np.zeros((2, 3, 3)))
+    x, new = _per_row(np.zeros((2, 3, 3)))
     layers = [(ad.constant(np.zeros((3, 16))), ad.constant(np.zeros((4, 16))),
                ad.constant(np.zeros(16)))]
-    h = ad.lstm_sequence(ad.constant(x), parents, layers)
+    h = ad.lstm_sequence(ad.constant(x), new, layers)
     npt.assert_array_equal(h.data, np.zeros((2, 4)))
 
 
@@ -87,15 +89,15 @@ def test_scalar_cell_matches_hand_computation():
         c_val = sig(zf) * c_val + sig(zi) * math.tanh(zg)
         h_val = sig(zo) * math.tanh(c_val)
 
-    h = ad.lstm_sequence(ad.constant(np.array([[xs[0]], [xs[1]]])), [np.array([0])],
+    h = ad.lstm_sequence(ad.constant(np.array([[xs[0]], [xs[1]]])), np.ones((1, 2), dtype=bool),
                          [(ad.constant(wx), ad.constant(wh), ad.constant(b))])
     npt.assert_allclose(float(h.data[0, 0]), h_val, rtol=1e-12)
 
 
 def test_sequence_is_one_graph_node():
     rng = np.random.default_rng(13)
-    x, parents, layers = _stacked_case(rng)
-    out = ad.lstm_sequence(x, parents, layers)
+    x, new, layers = _stacked_case(rng)
+    out = ad.lstm_sequence(x, new, layers)
     assert out.op == "lstm_sequence"
     expected = [x] + [t for layer in layers for t in layer]
     assert len(out._parents) == len(expected)
@@ -103,25 +105,27 @@ def test_sequence_is_one_graph_node():
 
 
 def test_gate_weights_must_match_hidden_size():
-    x, parents = _per_row(np.zeros((2, 3, 3)))
+    x, new = _per_row(np.zeros((2, 3, 3)))
     layers = [(ad.constant(np.zeros((3, 12))), ad.constant(np.zeros((4, 16))),
                ad.constant(np.zeros(16)))]
     with pytest.raises(ShapeError, match="lstm_sequence"):
-        ad.lstm_sequence(ad.constant(x), parents, layers)
+        ad.lstm_sequence(ad.constant(x), new, layers)
 
 
-@pytest.mark.parametrize("n_nodes, parents", [
-    (5, [np.array([1, 0, 1])]),        # decreasing
-    (5, [np.array([0, 0, 0])]),        # misses step 0's node 1
-    (5, [np.array([0, 1, 2])]),        # names a third node of step 0
-    (2, [np.array([0, 1, 1])]),        # more children than nodes
-    (4, [np.array([[0, 1]])]),         # not 1-d
-    (4, [np.array([0.0, 1.0])]),       # not integers
-])
-def test_parent_maps_must_be_nondecreasing_and_reach_every_parent(n_nodes, parents):
+@pytest.mark.parametrize("n_nodes, new", [
+    (4, np.ones((2, 2), dtype=int)),
+    (4, np.ones(4, dtype=bool)),
+    (0, np.ones((2, 0), dtype=bool)),
+    (3, np.array([[0, 1], [1, 1]], dtype=bool)),
+    (3, np.array([[1, 1], [1, 0]], dtype=bool)),
+    (5, np.ones((2, 2), dtype=bool)),
+], ids=["not_bool", "not_2d", "no_steps", "row_0_not_all_true", "true_then_false",
+        "count_not_nodes"])
+def test_prefix_marks_must_describe_a_prefix_trie(n_nodes, new):
+    # each case breaks one rule and keeps the others
     layers = [tuple(_params([np.ones((3, 8)), np.ones((2, 8)), np.ones(8)]))]
     with pytest.raises(ShapeError, match="lstm_sequence"):
-        ad.lstm_sequence(ad.constant(np.zeros((n_nodes, 3))), parents, layers)
+        ad.lstm_sequence(ad.constant(np.zeros((n_nodes, 3))), new, layers)
 
 
 def test_two_step_unroll_gradient_matches_finite_differences():
@@ -134,7 +138,7 @@ def test_two_step_unroll_gradient_matches_finite_differences():
     w = rng.normal(size=(2, hidden))
 
     def fn():
-        h = ad.lstm_sequence(x_nodes, [np.arange(2)], [(w_in, w_rec, bias)])
+        h = ad.lstm_sequence(x_nodes, np.ones((2, 2), dtype=bool), [(w_in, w_rec, bias)])
         return weighted_sum(h, w)
 
     report = ad.check_gradients(fn, [w_in, w_rec, bias, x_nodes])
@@ -142,17 +146,17 @@ def test_two_step_unroll_gradient_matches_finite_differences():
 
 
 def test_stacked_layers_shapes_and_determinism():
-    x, parents, layers = _stacked_case(np.random.default_rng(12))
-    out1 = ad.lstm_sequence(x, parents, layers)
-    out2 = ad.lstm_sequence(x, parents, layers)
+    x, new, layers = _stacked_case(np.random.default_rng(12))
+    out1 = ad.lstm_sequence(x, new, layers)
+    out2 = ad.lstm_sequence(x, new, layers)
     assert out1.data.shape == (4, 4)
     npt.assert_array_equal(out1.data, out2.data)
 
 
 def test_stacked_layers_match_numpy_reference():
-    x, parents, layers = _stacked_case(np.random.default_rng(12))
-    expected = lstm_reference(x.data, parents, [tuple(t.data for t in layer) for layer in layers])
-    npt.assert_array_equal(ad.lstm_sequence(x, parents, layers).data, expected)
+    x, new, layers = _stacked_case(np.random.default_rng(12))
+    expected = lstm_reference(x.data, new, [tuple(t.data for t in layer) for layer in layers])
+    npt.assert_array_equal(ad.lstm_sequence(x, new, layers).data, expected)
 
 
 @pytest.mark.parametrize("rows", [1, 40])
@@ -165,13 +169,13 @@ def test_matches_stepwise_where_form_kernel(rows, steps, depth, hidden):
     # nothing else
     rng = np.random.default_rng([rows, steps, depth, hidden])
     x = ad.parameter(rng.normal(size=(rows, steps, 3)), "x")
-    nodes, parents = _per_row(x.data)
+    nodes, new = _per_row(x.data)
     x_nodes = ad.parameter(nodes, "x_nodes")
     layers = _layers(rng, depth, 3, hidden)
     weights = [t for layer in layers for t in layer]
     w = rng.normal(size=(rows, hidden))
     results = []
-    for leaf, run in ((x_nodes, lambda: ad.lstm_sequence(x_nodes, parents, layers)),
+    for leaf, run in ((x_nodes, lambda: ad.lstm_sequence(x_nodes, new, layers)),
                       (x, lambda: lstm_stepwise_reference(x, layers))):
         ad.zero_grads(weights)
         out = run()
@@ -206,13 +210,13 @@ def test_prefix_trie_matches_the_stepwise_kernel_on_every_row(n_rows, steps, dep
         ids[:, 0] = rng.permutation(np.arange(1, vocab))[:n_rows]
     if padded:  # each row keeps 1 to `steps` real tokens
         ids[np.arange(steps) >= rng.integers(1, steps + 1, size=(n_rows, 1))] = 0
-    tokens, parents, last = _trie(ids)
+    tokens, new, last = _trie(ids)
     table = ad.parameter(rng.normal(size=(vocab, 2)), "table")
     layers = _layers(rng, depth, 2, hidden)
     params = [table] + [t for layer in layers for t in layer]
     w = rng.normal(size=(n_rows, hidden))
     results = []
-    for run in (lambda: ad.gather_rows(ad.lstm_sequence(ad.embedding(table, tokens), parents,
+    for run in (lambda: ad.gather_rows(ad.lstm_sequence(ad.embedding(table, tokens), new,
                                                         layers), last),
                 lambda: lstm_stepwise_reference(ad.embedding(table, ids), layers)):
         ad.zero_grads(params)
@@ -233,7 +237,7 @@ def test_saturated_gates_are_exact_without_overflow_warnings():
                              np.zeros(4)]))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = ad.lstm_sequence(x, [np.arange(2)], layers)
+        out = ad.lstm_sequence(x, np.ones((2, 2), dtype=bool), layers)
         g = np.tanh(0.5)
         npt.assert_array_equal(out.data, [[np.tanh(g + g)], [0.0]])
         weighted_sum(out, np.ones((2, 1))).backward()
@@ -245,7 +249,7 @@ def test_saturated_gates_are_exact_without_overflow_warnings():
 def test_no_nodes(steps):
     x = ad.parameter(np.zeros((0, 3)), "x")
     layers = [tuple(_params([np.ones((3, 8)), np.ones((2, 8)), np.ones(8)]))]
-    out = ad.lstm_sequence(x, [np.arange(0)] * (steps - 1), layers)
+    out = ad.lstm_sequence(x, np.ones((0, steps), dtype=bool), layers)
     npt.assert_array_equal(out.data, np.zeros((0, 2)))
     weighted_sum(out, np.ones((0, 2))).backward()
     assert x.grad.shape == x.data.shape

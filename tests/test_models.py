@@ -16,7 +16,6 @@ from mtvqa.models import (
     VARIANTS,
     ModelConfig,
     _distinct_rows,
-    _sorted_prefixes,
     build_model,
     load_model,
     save_model,
@@ -332,11 +331,11 @@ def test_load_rejects_config_echo_with_unknown_or_missing_key(tmp_path, capsys):
     ("embed_dim", "x"), ("embed_dim", 2.5), ("embed_dim", True), ("embed_dim", 0),
     ("tasks", 5), ("tasks", ["colour", "shape"]), ("filter_widths", None),
     ("filter_widths", [1, "2"]), ("classifier_dims", {"a": 1}), ("classifier_dims", [0]),
-    ("classifier_dims", [-2]), ("config", "list")],
+    ("classifier_dims", [-2]), ("config", "list"), ("tasks", ["colour", "count", "colour"])],
     ids=["embed_dim-str", "embed_dim-float", "embed_dim-bool", "embed_dim-zero",
          "tasks-int", "tasks-unknown", "filter_widths-null", "filter_widths-str-item",
          "classifier_dims-object", "classifier_dims-zero", "classifier_dims-negative",
-         "config-list"])
+         "config-list", "tasks-repeated"])
 def test_load_rejects_config_echo_with_bad_value(tmp_path, key, value):
     # a wrong-typed or invalid value is a FormatError naming the key, and a
     # config that is not a JSON object (here a list) is one too
@@ -351,19 +350,23 @@ def test_load_rejects_config_echo_with_bad_value(tmp_path, key, value):
         load_model(path)
 
 
-@pytest.mark.parametrize("fault", ["missing", "wrong_shape"])
+@pytest.mark.parametrize("fault", ["missing", "wrong_shape", "extra"])
 def test_load_rejects_bad_embedding_like_any_parameter(tmp_path, fault):
     from mtvqa.autodiff.checkpoint import save_checkpoint
     model = tiny_model("mtl_simple", seed=5)
     params = {n: p.data for n, p in model.params.items()}
+    name = "embedding"
     if fault == "missing":
-        del params["embedding"]
-    else:
-        params["embedding"] = params["embedding"][:, 1:]
+        del params[name]
+    elif fault == "wrong_shape":
+        params[name] = params[name][:, 1:]
+    else:  # a parameter the model does not have
+        name = "bogus"
+        params[name] = np.zeros(2)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, config={"variant": "mtl_simple",
                                           "config": model.config.to_dict(), "extras": None})
-    with pytest.raises(FormatError, match=r"m\.ckpt: .*parameter embedding"):
+    with pytest.raises(FormatError, match=rf"m\.ckpt: .*parameter {name}\b"):
         load_model(path)
 
 
@@ -576,7 +579,7 @@ def _assert_matches_np_unique(a):
     assert rows.dtype == ref_rows.dtype
     npt.assert_array_equal(inv, ref_inv.reshape(-1))
     # the distinct rows' prefix marks are those a sort of them alone gives
-    npt.assert_array_equal(new, _sorted_prefixes(rows)[2])
+    npt.assert_array_equal(new, _distinct_rows(rows)[2])
 
 
 @settings(max_examples=60, deadline=None)
