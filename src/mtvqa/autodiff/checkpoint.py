@@ -20,7 +20,7 @@ import zipfile
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, open_text
 
 _TEXT_VALUES = {"v1": lambda vals: np.array(vals.split(), dtype=np.float64),  # by header version
                 "v2": lambda vals: np.frombuffer(bytes.fromhex(vals), ">f8").astype(np.float64)}
@@ -70,7 +70,7 @@ def _load_binary(path):
 
 
 def _load_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     head = lines[0].split(" ", 3) if lines else []
     if len(head) < 3 or head[0] != "mtvqa-ckpt" or head[2] != "text":

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, datasets, harness, models, reports, textenc
-from .errors import ConfigError, FormatError, MtvqaError
+from .errors import ConfigError, FormatError, MtvqaError, open_text
 
 
 def _seed(text):
@@ -71,14 +71,14 @@ def _keyword_config(args):
 # subcommands
 
 def _cmd_ingest(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.format == "daquar":
         raw = corpus.parse_daquar(args.input)
         labeled, rejected = corpus.label_corpus(raw, _keyword_config(args))
     else:
         labeled = corpus.parse_cocoqa(args.input)
         rejected = []
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     corpus.io.write_labeled(outdir / "labeled.tsv", labeled)
     corpus.io.write_rejections(outdir / "rejected.log", rejected)
     sample = corpus.audit_sample(labeled, seed=args.seed)
@@ -197,7 +197,7 @@ def _cmd_eval(args):
                      for key, size in (("tokens", model.config.vocab_size),
                                        ("answers", model.config.n_answers)))
     features = corpus.load_features(args.features)
-    with open(args.data, "r", encoding="utf-8") as fh:
+    with open_text(args.data) as fh:
         head = fh.readline()
     if head.startswith("mtvqa-multitask"):
         if model.n_heads == 1:

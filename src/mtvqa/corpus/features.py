@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, open_text
 
 _MAGIC = "mtvqa-feat v1"
 
@@ -20,17 +20,14 @@ class FeatureStore:
     def __len__(self):
         return len(self.vectors)
 
-    def __contains__(self, image_id):
-        return image_id in self.vectors
-
-    def get(self, image_id):
-        return self.vectors[image_id]
-
-    def require(self, image_ids):
+    def rows(self, image_ids):
+        """The (len(image_ids), feature_dim) float64 vectors of `image_ids`, in order."""
         missing = [i for i in image_ids if i not in self.vectors]
         if missing:
             raise FormatError(f"feature store is missing image ids: {missing[:5]}"
                               + (" ..." if len(missing) > 5 else ""))
+        return np.array([self.vectors[i] for i in image_ids],
+                        dtype=np.float64).reshape(len(image_ids), self.feature_dim)
 
 
 def save_features(path, store, binary=False):
@@ -82,7 +79,7 @@ def _load_binary(path):
 
 
 def _load_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(_MAGIC):
         raise FormatError(f"{path}: missing feature header (empty or foreign file)")

@@ -7,7 +7,7 @@ diffable.
 
 from __future__ import annotations
 
-from ..errors import FormatError
+from ..errors import FormatError, open_text
 from .qtypes import parse_qtype
 from .types import LabeledQuestion, MultiTaskExample
 
@@ -41,7 +41,7 @@ def _write_records(path, magic, records):
 
 
 def _read_records(path, magic):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0] != magic:
         raise FormatError(f"{path}: missing header {magic!r}")
@@ -83,7 +83,7 @@ def write_multitask(path, examples, tasks):
 
 def read_multitask(path):
     """Returns (examples, tasks); a header that repeats a task raises `FormatError`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith(_MULTI_MAGIC):
         raise FormatError(f"{path}: missing multitask header")

@@ -6,7 +6,7 @@ import re
 import string
 from pathlib import Path
 
-from ..errors import FormatError
+from ..errors import FormatError, open_text
 from .qtypes import QuestionType
 from .types import LabeledQuestion, RawQuestion
 
@@ -40,7 +40,7 @@ def parse_daquar(path):
     """
     path = Path(path)
     numbered = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 numbered.append((lineno, line.strip()))
@@ -65,7 +65,7 @@ def parse_cocoqa(dirpath):
     names = ["questions.txt", "answers.txt", "img_ids.txt", "types.txt"]
     columns = []
     for name in names:
-        with open(dirpath / name, "r", encoding="utf-8") as fh:
+        with open_text(dirpath / name) as fh:
             columns.append(fh.read().splitlines())
     counts = {name: len(col) for name, col in zip(names, columns)}
     if len(set(counts.values())) != 1:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from ..errors import ConfigError, FormatError
+from ..errors import ConfigError, FormatError, open_text
 
 
 class QuestionType(str, Enum):
@@ -119,7 +119,7 @@ def audit_sample(labeled, seed=0, size=200):
 def load_keyword_config(path):
     """Read `<type>: w1, w2, ...` lines; file order is priority order."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

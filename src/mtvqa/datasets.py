@@ -37,28 +37,33 @@ class EncodedDataset:
         return self.ids.shape[1]
 
 
-def _encode(examples, n_heads, slots_of, tasks, vocab, answer_vocab, max_len, features):
-    """The dense layout of `examples`, whose slots `slots_of(example)` lists
-    as (head, question record)."""
+def _encode(examples, records, n_heads, tasks, vocab, answer_vocab, max_len, features):
+    """The dense layout of `examples`, where `records[i]` holds example i's
+    question records: each on head `tasks.index(q.qtype)` when there are
+    several heads, else on head 0.  A type outside `tasks` raises `ConfigError`."""
+    tasks = tuple(tasks)
     n = len(examples)
     ids = np.zeros((n, n_heads, max_len), dtype=np.int64)
     targets = np.full((n, n_heads), -1, dtype=np.int64)
     mask = np.zeros((n, n_heads), dtype=bool)
     qtypes = np.full((n, n_heads), -1, dtype=np.int64)
     qids = np.full((n, n_heads), -1, dtype=np.int64)
-    images = np.zeros((n, features.feature_dim), dtype=np.float64)
-    features.require([ex.image_id for ex in examples])
+    images = features.rows([ex.image_id for ex in examples])
     codes = {}  # token tuple -> ids: the combined format repeats each question
     numbers = {}  # question record -> its index in `qids`
-    for i, ex in enumerate(examples):
-        images[i] = features.get(ex.image_id)
-        for k, q in slots_of(ex):
+    for i, slots in enumerate(records):
+        for q in slots:
+            if q.qtype not in tasks:
+                raise ConfigError(f"question type {q.qtype} is not in the task set "
+                                  f"({', '.join(map(str, tasks))})")
+            t = tasks.index(q.qtype)
+            k = t if n_heads > 1 else 0
             if q.tokens not in codes:
                 codes[q.tokens] = encode(q.tokens, vocab, max_len)
             ids[i, k] = codes[q.tokens]
             targets[i, k] = answer_vocab.id_of(q.answer)
             mask[i, k] = True
-            qtypes[i, k] = tasks.index(q.qtype)
+            qtypes[i, k] = t
             qids[i, k] = numbers.setdefault(q, len(numbers))
     return EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes, qids=qids,
                           images=images, image_ids=tuple(ex.image_id for ex in examples),
@@ -67,22 +72,11 @@ def _encode(examples, n_heads, slots_of, tasks, vocab, answer_vocab, max_len, fe
 
 def encode_multitask(examples, tasks, vocab, answer_vocab, max_len, features):
     """One head per task; padded slots get all-padding ids and mask False."""
-    tasks = tuple(tasks)
-
-    def slots_of(ex):
-        return [(tasks.index(q.qtype), q) for q in ex.slots if q.qtype in tasks]
-
-    return _encode(examples, len(tasks), slots_of, tasks, vocab, answer_vocab, max_len,
-                   features)
+    return _encode(examples, [ex.slots for ex in examples], len(tasks), tasks,
+                   vocab, answer_vocab, max_len, features)
 
 
 def encode_single(singles, tasks, vocab, answer_vocab, max_len, features):
     """One head total; the slot's question type varies per example."""
-    tasks = tuple(tasks)
-
-    def slots_of(s):
-        if s.qtype not in tasks:
-            raise ConfigError(f"question type {s.qtype} not in task set {tasks}")
-        return [(0, s)]
-
-    return _encode(singles, 1, slots_of, tasks, vocab, answer_vocab, max_len, features)
+    return _encode(singles, [(s,) for s in singles], 1, tasks, vocab, answer_vocab,
+                   max_len, features)

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the text opener every
+reader uses so that undecodable bytes raise one of them."""
+
+from contextlib import contextmanager
 
 
 class MtvqaError(Exception):
@@ -19,3 +22,14 @@ class ShapeError(MtvqaError):
 
 class TrainingError(MtvqaError):
     """Training aborted (non-finite loss, bad target, ...)."""
+
+
+@contextmanager
+def open_text(path):
+    """`path` opened to read as UTF-8 text; bytes read inside the `with`
+    block that do not decode raise `FormatError` naming `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc

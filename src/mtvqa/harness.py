@@ -125,41 +125,34 @@ def _image_level_split(image_ids, val_fraction, rng):
     return np.nonzero(~flags)[0], np.nonzero(flags)[0]
 
 
-def _infer(model, data, indices, batch_size, with_loss=False, with_logits=False):
+def _infer(model, data, indices, batch_size, with_loss=False):
     """One `model.forward` per batch of the `indices` rows of `data`.
 
-    Returns (preds, loss, logits): the (rows, heads) argmax answer ids;
-    with `with_loss` the summed masked loss of those rows, else None; with
-    `with_logits` the (rows, heads, answers) logits, else None.  No rows
-    give empty arrays.  Test sets hold out-of-vocabulary targets (-1),
-    which the loss rejects, so only validation asks for it.  The logits are
-    kept only on request because they are `answers` times the size of the
-    argmax.
+    Returns (logits, loss): the (rows, heads, answers) logits, and with
+    `with_loss` the summed masked loss of those rows, else None.  No rows
+    give an empty array.  Test sets hold out-of-vocabulary targets (-1),
+    which the loss rejects, so only validation asks for it.
     """
-    preds, logits, loss = [], [], (0.0 if with_loss else None)
+    logits, loss = [], (0.0 if with_loss else None)
     for lo in range(0, max(len(indices), 1), batch_size):  # no rows run one empty batch
         sel = indices[lo:lo + batch_size]
         out = model.forward(data.images[sel], data.ids[sel])
         if with_loss:
             loss += float(softmax_cross_entropy_masked(out, data.targets[sel],
                                                        data.mask[sel]).data)
-        z = out.data.reshape(len(sel), model.n_heads, model.config.n_answers)
-        preds.append(z.argmax(axis=2))
-        if with_logits:
-            logits.append(z)
+        logits.append(out.data.reshape(len(sel), model.n_heads, model.config.n_answers))
         # drop this batch's graph before the next forward builds one, so
         # only one batch graph is alive at a time
         del out
-    return np.concatenate(preds), loss, np.concatenate(logits) if with_logits else None
+    return np.concatenate(logits), loss
 
 
 def _validate(model, data, indices, batch_size):
     """(mean loss, slot accuracy or None) of the `indices` rows, one pass."""
-    preds, loss, _ = _infer(model, data, indices, batch_size, with_loss=True)
+    logits, loss = _infer(model, data, indices, batch_size, with_loss=True)
     mask = data.mask[indices]
-    hits = (preds == data.targets[indices]) & mask
-    count = int(mask.sum())
-    return loss / len(indices), (100.0 * int(hits.sum()) / count if count else None)
+    hits = (logits.argmax(axis=2) == data.targets[indices])[mask]
+    return loss / len(indices), _tally(data.tasks, data.qtypes[indices][mask], hits).total_accuracy
 
 
 def train(model, data, cfg):
@@ -234,12 +227,12 @@ def train(model, data, cfg):
 
 @dataclass
 class EvalReport:
-    """Per-type and total accuracy.
+    """Per-type and total accuracy of one population, as `_tally` counts it.
 
-    From `evaluate` the population is the unmasked slots: `correct` and
-    `counts` are integers and `hits` is the (rows, heads) matrix of slots
-    answered correctly.  From `per_question` it is the distinct questions:
-    `correct` sums each question's mean correctness and `hits` is None.
+    From `evaluate` the population is the unmasked slots: `correct` holds
+    whole numbers and `hits` is the (rows, heads) matrix of slots answered
+    correctly.  From `per_question` it is the distinct questions: `correct`
+    sums each question's mean correctness and `hits` is None.
     """
     tasks: tuple
     correct: dict
@@ -259,31 +252,31 @@ class EvalReport:
             return None
         return 100.0 * sum(self.correct.values()) / n
 
-    def per_type(self):
-        return {t.value: self.accuracy(t) for t in self.tasks}
-
     def as_dict(self):
-        d = self.per_type()
+        d = {t.value: self.accuracy(t) for t in self.tasks}
         d["total"] = self.total_accuracy
         return d
 
 
+def _tally(tasks, qtype, score, hits=None):
+    """The report of a population whose item i, of type `tasks[qtype[i]]`, scores `score[i]`."""
+    correct = np.bincount(qtype, weights=score, minlength=len(tasks))
+    counts = np.bincount(qtype, minlength=len(tasks))
+    return EvalReport(tasks=tasks,
+                      correct={t: float(correct[i]) for i, t in enumerate(tasks)},
+                      counts={t: int(counts[i]) for i, t in enumerate(tasks)}, hits=hits)
+
+
 def prediction_logits(model, data):
     """(n, heads, answers) raw logits, for exact-invariance checks."""
-    return _infer(model, data, np.arange(len(data)), _EVAL_BATCH, with_logits=True)[2]
+    return _infer(model, data, np.arange(len(data)), _EVAL_BATCH)[0]
 
 
 def evaluate(model, data):
-    """Masked slots are excluded from numerator and denominator alike."""
-    correct = {t: 0 for t in data.tasks}
-    counts = {t: 0 for t in data.tasks}
-    preds, _, _ = _infer(model, data, np.arange(len(data)), _EVAL_BATCH)
-    hits = (preds == data.targets) & data.mask
-    for k, t in enumerate(data.tasks):
-        cells = (data.qtypes == k) & data.mask
-        counts[t] += int(cells.sum())
-        correct[t] += int((hits & cells).sum())
-    return EvalReport(tasks=data.tasks, correct=correct, counts=counts, hits=hits)
+    """Slot accuracy: masked slots are excluded from numerator and denominator alike."""
+    logits, _ = _infer(model, data, np.arange(len(data)), _EVAL_BATCH)
+    hits = (logits.argmax(axis=2) == data.targets) & data.mask
+    return _tally(data.tasks, data.qtypes[data.mask], hits[data.mask], hits)
 
 
 def per_question(report, data):
@@ -297,12 +290,7 @@ def per_question(report, data):
              / np.bincount(q, minlength=n))
     qtype = np.zeros(n, dtype=np.int64)
     qtype[q] = data.qtypes[data.mask]
-    k = len(data.tasks)
-    correct = np.bincount(qtype, weights=score, minlength=k)
-    counts = np.bincount(qtype, minlength=k)
-    return EvalReport(tasks=data.tasks,
-                      correct={t: float(correct[i]) for i, t in enumerate(data.tasks)},
-                      counts={t: int(counts[i]) for i, t in enumerate(data.tasks)})
+    return _tally(data.tasks, qtype, score)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, open_text
 
 PAD_ID = 0
 PAD_TOKEN = "<pad>"
@@ -58,7 +58,7 @@ def load_embeddings(path, vocab, embed_dim, seed=0):
     stays zero.  A value that is not a finite float raises `FormatError`.
     """
     found = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
             if not parts:

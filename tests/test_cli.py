@@ -115,6 +115,24 @@ def test_eval_rejects_wrong_format(pipeline_dir, capsys, tmp_path):
     assert "multitask" in err
 
 
+def test_eval_on_a_type_the_model_has_no_head_for_exits_1_naming_it(pipeline_dir, capsys,
+                                                                   tmp_path):
+    assert main(["reformat", "--labeled", str(pipeline_dir / "corpus" / "labeled.tsv"),
+                 "--out", str(tmp_path / "data"), "--tasks", "object,colour"]) == 0
+    assert main(["train", "--data", str(tmp_path / "data" / "multitask.tsv"),
+                 "--features", str(pipeline_dir / "corpus" / "features.feat"),
+                 "--out", str(tmp_path / "m.ckpt"), "--set", "max_epochs_nadam=1",
+                 "--set", "max_epochs_sgd=0", "--model-set", "embed_dim=4",
+                 "--model-set", "hidden_dim=6"]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "eval", "--model", str(tmp_path / "m.ckpt"),
+                         "--data", str(pipeline_dir / "data" / "multitask.tsv"),
+                         "--features", str(pipeline_dir / "corpus" / "features.feat"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "question type count is not in the task set (object, colour)" in err
+
+
 def test_text_checkpoint_is_v2_and_evaluates_like_the_binary_one(pipeline_dir, capsys,
                                                                   tmp_path):
     data = ["--data", str(pipeline_dir / "data" / "multitask.tsv"),
@@ -299,6 +317,53 @@ def test_report_writes_accuracy_plot(pipeline_dir, tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "loss.svg").exists()
     assert (tmp_path / "loss_accuracy.svg").exists()
+
+
+_UNDECODABLE = b"\xff\xfe\x00binary"
+
+
+@pytest.mark.parametrize("reader", ["stats_data", "reformat_labeled", "train_data",
+                                    "train_features", "train_embeddings", "eval_model",
+                                    "eval_data", "ingest_daquar", "ingest_cocoqa",
+                                    "ingest_keywords"])
+def test_undecodable_input_exits_1_naming_the_file(reader, pipeline_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_UNDECODABLE)
+    data = str(pipeline_dir / "data" / "multitask.tsv")
+    features = str(pipeline_dir / "corpus" / "features.feat")
+    daquar = tmp_path / "qa.txt"
+    daquar.write_text("how many chairs are in the image1 ?\n2\n")
+    cocoqa = tmp_path / "cq"
+    cocoqa.mkdir()
+    for name in ("questions.txt", "answers.txt", "img_ids.txt", "types.txt"):
+        (cocoqa / name).write_bytes(_UNDECODABLE)
+    ckpt = tmp_path / "m.ckpt"
+    if reader == "eval_data":
+        assert main(_train_argv(pipeline_dir, tmp_path, "--set", "max_epochs_nadam=1",
+                                "--set", "max_epochs_sgd=0", "--model-set", "embed_dim=4",
+                                "--model-set", "hidden_dim=6")) == 0
+        capsys.readouterr()
+    train = ["train", "--data", data, "--features", features, "--out", str(tmp_path / "t.ckpt")]
+    argv = {"stats_data": ["stats", "--data", str(bad)],
+            "reformat_labeled": ["reformat", "--labeled", str(bad), "--out", str(tmp_path)],
+            "train_data": train[:2] + [str(bad)] + train[3:],
+            "train_features": train[:4] + [str(bad)] + train[5:],
+            "train_embeddings": train + ["--embeddings", str(bad)],
+            "eval_model": ["eval", "--model", str(bad), "--data", data, "--features", features],
+            "eval_data": ["eval", "--model", str(ckpt), "--data", str(bad),
+                          "--features", features],
+            "ingest_daquar": ["ingest", "--format", "daquar", "--input", str(bad),
+                              "--out", str(tmp_path / "ing")],
+            "ingest_cocoqa": ["ingest", "--format", "cocoqa", "--input", str(cocoqa),
+                              "--out", str(tmp_path / "ing")],
+            "ingest_keywords": ["ingest", "--format", "daquar", "--input", str(daquar),
+                                "--keywords", str(bad), "--out", str(tmp_path / "ing")]}[reader]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    named = cocoqa / "questions.txt" if reader == "ingest_cocoqa" else bad
+    assert f"{named}: not UTF-8 text" in err, err
+    assert not (tmp_path / "t.ckpt").exists() and not (tmp_path / "ing").exists()
 
 
 def _train_argv(pipeline_dir, tmp_path, *extra):

@@ -13,7 +13,7 @@ from mtvqa.corpus import (
 )
 from mtvqa.corpus import io as cio
 from mtvqa.datasets import encode_multitask, encode_single
-from mtvqa.errors import FormatError
+from mtvqa.errors import ConfigError, FormatError
 from mtvqa.harness import synthetic_bundle
 from mtvqa.textenc import Vocabulary, build_vocab, encode
 
@@ -98,6 +98,15 @@ def test_unknown_answer_maps_to_minus_one(setup):
     assert enc.targets[0, 0] == 0
     assert enc.targets[0, 1] == -1  # "2" unseen
     assert enc.mask[0, 1]  # still a filled slot, just never predictable
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_a_question_outside_the_task_set_raises(setup, single):
+    combined, vocab, avocab, features = setup
+    encoder, examples = ((encode_single, flatten_single_task(combined)) if single
+                         else (encode_multitask, combined))
+    with pytest.raises(ConfigError, match=r"count is not in the task set \(colour\)"):
+        encoder(examples, (C,), vocab, avocab, 4, features)
 
 
 def test_missing_feature_raises(setup):

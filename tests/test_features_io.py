@@ -28,8 +28,7 @@ def test_feature_text_round_trip(tmp_path):
     loaded = load_features(path)
     assert loaded.feature_dim == 3
     assert len(loaded) == 2
-    npt.assert_array_equal(loaded.get("a"), store.get("a"))
-    npt.assert_array_equal(loaded.get("b"), store.get("b"))
+    npt.assert_array_equal(loaded.rows(["b", "a"]), store.rows(["b", "a"]))
 
 
 def test_feature_binary_round_trip(tmp_path):
@@ -39,8 +38,8 @@ def test_feature_binary_round_trip(tmp_path):
     path = tmp_path / "f.npz"
     save_features(path, store, binary=True)
     loaded = load_features(path)
-    for k in store.vectors:
-        npt.assert_array_equal(loaded.get(k), store.get(k))
+    ids = list(store.vectors)
+    npt.assert_array_equal(loaded.rows(ids), np.stack([store.vectors[k] for k in ids]))
 
 
 def test_feature_two_records(tmp_path):
@@ -120,7 +119,7 @@ def test_feature_empty_file_errors(tmp_path):
 def test_feature_require_missing_ids():
     store = FeatureStore(vectors={"a": np.zeros(2)}, feature_dim=2)
     with pytest.raises(FormatError, match="missing"):
-        store.require(["a", "zz"])
+        store.rows(["a", "zz"])
 
 
 def _labeled(img, qtype, text, answer):

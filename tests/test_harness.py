@@ -184,6 +184,57 @@ def test_history_json_round_trip(bundle, small_cfg):
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _rows(enc, idx):
+    """The `idx` rows of `enc` as a dataset of their own."""
+    return dataclasses.replace(enc, ids=enc.ids[idx], targets=enc.targets[idx],
+                               mask=enc.mask[idx], qtypes=enc.qtypes[idx],
+                               qids=enc.qids[idx], images=enc.images[idx],
+                               image_ids=tuple(enc.image_ids[i] for i in idx))
+
+
+def _encoded(bundle, examples, model):
+    """`examples` in the layout `model` reads: combined, or flattened to singles."""
+    if model.n_heads == 1:
+        return bundle.encode_singles(flatten_single_task(examples))
+    return bundle.encode_combined(examples)
+
+
+@pytest.mark.parametrize("variant", ["mtl_simple", "vqateam_stl"])
+def test_epoch_validation_figures_score_the_validation_rows(bundle, small_cfg, variant):
+    model = _fresh_model(bundle, small_cfg, variant)
+    enc = _encoded(bundle, bundle.train_combined, model)
+    cfg = _quick_cfg(max_epochs_nadam=1, max_epochs_sgd=0)
+    model, hist = train(model, enc, cfg)  # one epoch: the model holds its parameters
+    _, val_idx = harness._image_level_split(enc.image_ids, cfg.val_fraction,
+                                            np.random.default_rng(cfg.seed))
+    val = _rows(enc, val_idx)
+    assert 0 < len(val) < len(enc)
+    (record,) = hist.records
+    assert record.val_accuracy == evaluate(model, val).total_accuracy
+    loss, _ = model.loss(val.images, val.ids, val.targets, val.mask)
+    assert record.val_loss == pytest.approx(float(loss.data) / len(val), rel=1e-5)
+
+
+@pytest.mark.parametrize("variant", ["mtl_simple", "stl_simple", "vqateam_mtl",
+                                     "vqateam_stl"])
+def test_evaluate_counts_the_argmax_of_prediction_logits(bundle, small_cfg, variant):
+    model = _fresh_model(bundle, small_cfg, variant)
+    data = _encoded(bundle, bundle.test_combined, model)
+    # every other row's targets become the model's answers, so some slots hit
+    z = model.forward(data.images, data.ids).data.reshape(len(data), model.n_heads, -1)
+    answered = (np.arange(len(data)) % 2 == 0)[:, None] & data.mask
+    data = dataclasses.replace(data, targets=np.where(answered, z.argmax(axis=2),
+                                                      data.targets))
+    report = evaluate(model, data)
+    hits = (prediction_logits(model, data).argmax(axis=2) == data.targets) & data.mask
+    npt.assert_array_equal(report.hits, hits)
+    assert report.correct == {t: int((hits & (data.qtypes == k)).sum())
+                              for k, t in enumerate(data.tasks)}
+    assert report.counts == {t: int((data.mask & (data.qtypes == k)).sum())
+                             for k, t in enumerate(data.tasks)}
+    assert 0 < hits.sum() < data.mask.sum()
+
+
 def _toy_eval_data(model, rng, n=4):
     cfg = model.config
     images = rng.normal(size=(n, cfg.feature_dim))
