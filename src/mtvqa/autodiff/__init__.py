@@ -6,7 +6,6 @@ from .tensor import (
     conv1d,
     embedding,
     gather_rows,
-    max_over_time,
     mul,
     parameter,
     slot_affine,
@@ -21,7 +20,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "affine", "concat", "constant", "conv1d", "embedding",
-    "gather_rows", "max_over_time", "mul", "parameter", "slot_affine",
+    "gather_rows", "mul", "parameter", "slot_affine",
     "softmax_cross_entropy_masked", "tanh", "zero_grads",
     "lstm_sequence", "Nadam", "SgdMomentum", "GradCheckReport",
     "check_gradients", "load_checkpoint", "save_checkpoint",

@@ -7,10 +7,9 @@ a tensor keeps its input's, every array an operator makes follows its
 inputs, and gradients take their tensor's, so a graph built from float32
 parameters runs in float32 end to end.  The engine holds exactly the
 operators that the question-answering models and their training run:
-affine maps, valid 1-d convolution over token positions, max-over-time
-pooling, tanh, concatenation along the feature axis, elementwise product,
-the word
-lookup (id 0 is padding: it reads zeros and its row takes no gradient), a
+affine maps, valid 1-d convolution over token positions max-pooled over
+them, tanh, concatenation along the feature axis, elementwise product, the
+word lookup (id 0 is padding: it reads zeros and its row takes no gradient), a
 generic row lookup (of encoded questions, so a model encodes each distinct
 question once), an affine map over an input laid beside per-head rows of
 such an encoding that multiplies each head's weights by its distinct rows
@@ -67,7 +66,7 @@ class Tensor:
         A graph can be backpropagated once: each node drops its backward
         rule after running it, and a second call raises `TrainingError`.
         Dropping the rules frees the arrays they saved (the convolution's
-        side-by-side taps, pooling argmaxes, LSTM gates) while the caller
+        side-by-side taps and outputs, LSTM gates) while the caller
         still holds this tensor.
         """
         if self.data.shape != ():
@@ -223,10 +222,12 @@ def slot_affine(x, enc, inv, w, b):
 
 
 def conv1d(x, w, b):
-    """Valid 1-d convolution over token positions.
+    """Valid 1-d convolution over token positions, max-pooled over them.
 
     x: (batch, time, channels), w: (width, channels, filters), b: (filters,).
-    Output has time length `time - width + 1`.
+    The convolution has `time - width + 1` positions; the output is each
+    filter's maximum over them, (batch, filters).  On ties the first maximum
+    takes the gradient.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-d input and kernel, got {x.data.shape}, {w.data.shape}")
@@ -248,30 +249,17 @@ def conv1d(x, w, b):
     for i in range(1, width):
         out += xw[:, i:i + tp, i]
 
-    def _bw(g):  # g: (batch, tp, nf), shifted so that gs[:, p + i, i] = g[:, p]
+    def _bw(g):  # g: (batch, nf), at each filter's first maximum p, shifted to gs[:, p + i, i]
+        rows, at, cols = np.arange(bsz)[:, None], np.argmax(out, axis=1), np.arange(nf)
         gs = np.zeros((bsz, t, width, nf), dtype=g.dtype)
         for i in range(width):
-            gs[:, i:i + tp, i] = g
+            gs[rows, at + i, i, cols] = g
         gs = gs.reshape(bsz * t, width * nf)
         _accum(w, (x2.T @ gs).reshape(ch, width, nf).transpose(1, 0, 2))
-        _accum(b, g.sum(axis=(0, 1)))
+        _accum(b, g.sum(axis=0))
         _accum(x, (gs @ wr.T).reshape(bsz, t, ch))
 
-    return _node(out, (x, w, b), "conv1d", _bw)
-
-
-def max_over_time(x):
-    """Max over the time axis of a (batch, time, channels) tensor."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"max_over_time: expected 3-d input, got {x.data.shape}")
-
-    def _bw(g):  # the gradient goes to the first maximum on ties
-        bsz, _, ch = x.data.shape
-        gx = np.zeros_like(x.data)
-        gx[np.arange(bsz)[:, None], np.argmax(x.data, axis=1), np.arange(ch)] = g
-        _accum(x, gx)
-
-    return _node(x.data.max(axis=1), (x,), "max_over_time", _bw)
+    return _node(out.max(axis=1), (x, w, b), "conv1d", _bw)
 
 
 def concat(tensors):

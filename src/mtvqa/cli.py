@@ -236,9 +236,15 @@ def _cmd_experiment(args):
             else tuple(range(args.seed, args.seed + int(args.seeds)))
     except ValueError as exc:
         raise ConfigError(f"--seeds expects a count or a list like 0,1,2, got {args.seeds!r}") from exc
-    if args.train_data and args.test_data and args.features:
+    route = {"--train-data": args.train_data, "--test-data": args.test_data,
+             "--features": args.features}
+    missing = [flag for flag, path in route.items() if not path]
+    if len(missing) < len(route):
+        if missing:
+            raise ConfigError(f"the real-data route needs {', '.join(missing)} as well")
         bundle = _bundle_from_files(args.train_data, args.test_data, args.features)
-        source = {"train_data": args.train_data, "test_data": args.test_data}
+        source = {"train_data": args.train_data, "test_data": args.test_data,
+                  "features": args.features}
     else:
         bundle = harness.synthetic_bundle(args.synth_images, args.synth_test,
                                           noise_std=args.noise_std, seed=args.seed)

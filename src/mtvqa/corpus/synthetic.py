@@ -58,8 +58,8 @@ class SyntheticSceneConfig:
             raise ConfigError("grid_size and max_count must be >= 1")
         if self.max_objects < 1:
             raise ConfigError("max_objects must be >= 1")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:  # NaN fails every comparison
+            raise ConfigError("noise_std must be finite and >= 0")
 
 
 def _cell_label(cell, grid):

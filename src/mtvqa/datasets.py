@@ -32,10 +32,6 @@ class EncodedDataset:
     def __len__(self):
         return self.ids.shape[0]
 
-    @property
-    def n_heads(self):
-        return self.ids.shape[1]
-
 
 def _encode(examples, records, n_heads, tasks, vocab, answer_vocab, max_len, features):
     """The dense layout of `examples`, where `records[i]` holds example i's

@@ -211,8 +211,8 @@ class Model:
 
     def encode_question_conv(self, ids2d):
         seq = ad.embedding(self.params["embedding"], ids2d)
-        pooled = [ad.max_over_time(ad.conv1d(seq, self.params[f"conv.shared.w{w}.W"],
-                                             self.params[f"conv.shared.w{w}.b"]))
+        pooled = [ad.conv1d(seq, self.params[f"conv.shared.w{w}.W"],
+                            self.params[f"conv.shared.w{w}.b"])
                   for w in self.config.filter_widths]
         # tanh is monotone, so pooling first gives the same values; where tanh
         # rounds two maxima to one value, 1 - y**2 is 0 and so is the gradient

@@ -299,6 +299,26 @@ def test_experiment_real_data_route(pipeline_dir, tmp_path, capsys):
     assert code == 0
     csv = (tmp_path / "exp" / "report.csv").read_text()
     assert csv.splitlines()[1].startswith("Combined test,")
+    source = json.loads((tmp_path / "exp" / "manifest.json").read_text())["source"]
+    assert source == {"train_data": str(tmp_path / "train.tsv"),
+                      "test_data": str(tmp_path / "test.tsv"),
+                      "features": str(pipeline_dir / "corpus" / "features.feat")}
+
+
+@pytest.mark.parametrize("given", [("--train-data", "--test-data"), ("--features",),
+                                   ("--test-data", "--features")])
+def test_experiment_rejects_a_partial_real_data_route(given, pipeline_dir, tmp_path, capsys):
+    paths = {"--train-data": pipeline_dir / "data" / "multitask.tsv",
+             "--test-data": pipeline_dir / "data" / "multitask.tsv",
+             "--features": pipeline_dir / "corpus" / "features.feat"}
+    argv = _experiment_args(tmp_path / "exp")
+    for flag in given:
+        argv += [flag, str(paths[flag])]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert all((flag in err) != (flag in given) for flag in paths), err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_report_writes_accuracy_plot(pipeline_dir, tmp_path, capsys):

@@ -6,7 +6,7 @@ from mtvqa import autodiff as ad
 from mtvqa.autodiff.optim import Nadam, SgdMomentum
 from mtvqa.errors import TrainingError
 
-from helpers import NadamReference, SgdMomentumReference
+from helpers import NadamReference, SgdMomentumReference, max_over_time_reference
 
 
 def _param(value, name="p"):
@@ -125,7 +125,7 @@ def _toy_problem(seed):
         batch = np.random.default_rng(100 + step)
         ids = batch.integers(0, 6, size=(5, 2))
         ids[0] = 0
-        pooled = ad.max_over_time(ad.embedding(table, ids))
+        pooled = max_over_time_reference(ad.embedding(table, ids))
         hidden = ad.tanh(ad.affine(pooled, params[1], params[2]))
         return ad.softmax_cross_entropy_masked(
             hidden, batch.integers(0, 4, size=(5, 1)), batch.random((5, 1)) < 0.8)

@@ -73,6 +73,8 @@ def test_answers_are_scene_consistent():
     dict(num_images=1, colours=()),
     dict(num_images=1, sizes=()),
     dict(num_images=1, noise_std=-0.1),
+    dict(num_images=1, noise_std=float("nan")),
+    dict(num_images=1, noise_std=float("inf")),
     dict(num_images=1, grid_size=0),
     dict(num_images=1, max_count=0),
 ])

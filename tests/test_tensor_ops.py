@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError, TrainingError
+from mtvqa.models import VARIANTS
 
 from helpers import (OP_CASES, conv1d_reference, max_over_time_reference,
                      slot_affine_reference, softmax_ce_reference, tiny_model, weighted_sum)
@@ -21,54 +22,63 @@ def test_affine_identity_passthrough():
     npt.assert_array_equal(out.data, x)
 
 
+def _pooled_reference(x, w, b):
+    return max_over_time_reference(conv1d_reference(x, w, b))
+
+
 def test_conv_width1_is_positionwise_affine():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 5, 3))
     k = rng.normal(size=(1, 3, 4))
     b = rng.normal(size=4)
     out = ad.conv1d(ad.constant(x), ad.constant(k), ad.constant(b))
-    for t in range(5):
-        expected = x[:, t, :] @ k[0] + b
-        npt.assert_allclose(out.data[:, t, :], expected, rtol=1e-12)
+    expected = np.max([x[:, t, :] @ k[0] + b for t in range(5)], axis=0)
+    npt.assert_allclose(out.data, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("width", range(1, 7))
 def test_conv1d_matches_the_window_reference(width):
-    # time 6, so width 6 leaves one output position
+    # time 6, so width 6 leaves one position to pool over
     rng = np.random.default_rng(width)
     x, w, b = rng.normal(size=(3, 6, 4)), rng.normal(size=(width, 4, 5)), rng.normal(size=5)
-    upstream = rng.normal(size=(3, 6 - width + 1, 5))
+    upstream = rng.normal(size=(3, 5))
     results = []
-    for op in (ad.conv1d, conv1d_reference):
+    for op in (ad.conv1d, _pooled_reference):
         params = [ad.parameter(a, n) for a, n in ((x, "x"), (w, "w"), (b, "b"))]
         out = op(*params)
         weighted_sum(out, upstream).backward()
         results.append([out.data] + [p.grad for p in params])
+    assert results[0][0].shape == (3, 5)
     for got, want in zip(*results):
         npt.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def test_max_over_time_constant_sequence():
-    x = np.tile(np.array([2.5, -1.0, 0.0]), (2, 4, 1))
-    out = ad.max_over_time(ad.constant(x))
-    npt.assert_array_equal(out.data, np.tile(np.array([2.5, -1.0, 0.0]), (2, 1)))
+def test_conv1d_of_a_constant_sequence_pools_its_one_value():
+    # every position reads the same, so the first one takes the gradient
+    x = ad.parameter(np.tile(np.array([2.5, -1.0, 0.0]), (2, 4, 1)), "x")
+    out = ad.conv1d(x, ad.constant(np.ones((2, 3, 1))), ad.constant(np.array([0.5])))
+    npt.assert_array_equal(out.data, np.full((2, 1), 3.5))
+    weighted_sum(out, np.ones((2, 1))).backward()
+    npt.assert_array_equal(x.grad[:, :2], np.ones((2, 2, 3)))
+    npt.assert_array_equal(x.grad[:, 2:], np.zeros((2, 2, 3)))
 
 
-def test_max_over_time_matches_the_gather_reference_on_ties():
+def test_conv1d_matches_the_pooled_reference_on_ties():
+    # small integers everywhere, so both sum exactly and only the tie-break
+    # could tell them apart; the all-padding questions' convolution is the
+    # bias at every position, and the others tie often
     rng = np.random.default_rng(5)
-    # the all-padding question's convolution is its bias at every step
-    pad_conv = ad.conv1d(ad.constant(np.zeros((2, 5, 3))),
-                         ad.constant(rng.normal(size=(2, 3, 4))), ad.constant(rng.normal(size=4)))
-    small_ints = rng.integers(-2, 3, size=(3, 4, 4)).astype(np.float64)
-    x = np.concatenate([pad_conv.data, small_ints])
-    assert np.all(x[:2] == x[:2, :1])
-    upstream = rng.normal(size=(5, 4))
+    x = np.concatenate([np.zeros((2, 5, 3)), rng.integers(-2, 3, size=(3, 5, 3))])
+    w, b = rng.integers(-1, 2, size=(2, 3, 4)), rng.integers(-2, 3, size=4)
+    upstream = rng.integers(-3, 4, size=(5, 4)).astype(np.float64)
+    conv = conv1d_reference(*(ad.constant(a.astype(np.float64)) for a in (x, w, b)))
+    assert np.all(conv.data[:2] == b)
     results = []
-    for op in (ad.max_over_time, max_over_time_reference):
-        t = ad.parameter(x, "x")
-        out = op(t)
+    for op in (ad.conv1d, _pooled_reference):
+        params = [ad.parameter(a.astype(np.float64), n) for a, n in ((x, "x"), (w, "w"), (b, "b"))]
+        out = op(*params)
         weighted_sum(out, upstream).backward()
-        results.append((out.data.tobytes(), t.grad.tobytes()))
+        results.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
     assert results[0] == results[1]
 
 
@@ -236,6 +246,30 @@ def test_every_operator_has_a_gradient_case():
     assert ops - _NOT_OPERATORS == set(OP_CASES)
 
 
+def test_every_operator_is_used_by_a_model(monkeypatch):
+    # the engine holds only the operators some model's training step calls
+    called = set()
+
+    def recorded(name, op):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return op(*args, **kwargs)
+        return wrapper
+
+    for name in OP_CASES:
+        monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
+    rng = np.random.default_rng(9)
+    for variant in VARIANTS:
+        model = tiny_model(variant)
+        cfg = model.config
+        images = rng.normal(size=(3, cfg.feature_dim))
+        ids = rng.integers(0, cfg.vocab_size, size=(3, model.n_heads, cfg.max_len))
+        targets = rng.integers(0, cfg.n_answers, size=(3, model.n_heads))
+        loss, _ = model.loss(images, ids, targets, np.ones((3, model.n_heads), dtype=bool))
+        loss.backward()
+    assert called == set(OP_CASES)
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_operator_gradients(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -257,8 +291,6 @@ def test_shape_errors_name_the_operator():
     with pytest.raises(ShapeError, match="conv1d"):
         ad.conv1d(ad.constant(np.zeros((1, 2, 3))), ad.constant(np.zeros((3, 3, 2))),
                   ad.constant(np.zeros(2)))
-    with pytest.raises(ShapeError, match="max_over_time"):
-        ad.max_over_time(a)
 
 
 @pytest.mark.parametrize("backpropagated", [False, True], ids=["forward_only", "backpropagated"])
