@@ -16,11 +16,10 @@ content:
 from __future__ import annotations
 
 import json
-import zipfile
 
 import numpy as np
 
-from ..errors import FormatError, open_text
+from ..errors import FormatError, open_archive, open_text
 
 _TEXT_VALUES = {"v1": lambda vals: np.array(vals.split(), dtype=np.float64),  # by header version
                 "v2": lambda vals: np.frombuffer(bytes.fromhex(vals), ">f8").astype(np.float64)}
@@ -55,17 +54,12 @@ def load_checkpoint(path):
 
 
 def _load_binary(path):
-    if not zipfile.is_zipfile(path):
-        raise FormatError(f"{path}: not a checkpoint archive")
-    try:
-        with np.load(path) as z:
-            meta = json.loads(str(z["meta"]))
-            if meta.get("version") != 1:
-                raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-            params = {n: np.asarray(z[f"arr_{i}"], dtype=np.float64)
-                      for i, n in enumerate(meta["names"])}
-    except (KeyError, ValueError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"{path}: malformed checkpoint archive ({exc})") from exc
+    with open_archive(path, "checkpoint") as z:
+        meta = json.loads(str(z["meta"]))
+        if meta.get("version") != 1:
+            raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        params = {n: np.asarray(z[f"arr_{i}"], dtype=np.float64)
+                  for i, n in enumerate(meta["names"])}
     return params, meta.get("config")
 
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FormatError, open_text
+from ..errors import FormatError, open_archive, open_text
 
 _MAGIC = "mtvqa-feat v1"
 
@@ -55,17 +54,12 @@ def load_features(path):
 
 
 def _load_binary(path):
-    if not zipfile.is_zipfile(path):
-        raise FormatError(f"{path}: not a feature archive")
-    try:  # a missing member, or one numpy cannot read or convert
-        with np.load(path) as z:
-            if str(z["magic"]) != _MAGIC:
-                raise FormatError(f"{path}: missing feature header")
-            dim = int(z["dim"])
-            ids = [str(i) for i in z["ids"]]
-            mat = z["matrix"].astype(np.float64)
-    except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"{path}: malformed feature archive ({exc})") from exc
+    with open_archive(path, "feature") as z:
+        if str(z["magic"]) != _MAGIC:
+            raise FormatError(f"{path}: missing feature header")
+        dim = int(z["dim"])
+        ids = [str(i) for i in z["ids"]]
+        mat = z["matrix"].astype(np.float64)
     if mat.shape != (len(ids), dim):
         raise FormatError(f"{path}: matrix shape {mat.shape} inconsistent with header")
     vectors = dict(zip(ids, mat))

@@ -11,11 +11,10 @@ from .types import ImageGroup, MultiTaskExample
 
 def group_by_image(questions):
     """One group per distinct image id, sorted by id; question order kept."""
-    groups = {}
+    groups = {}  # image id -> type -> questions
     for q in questions:
-        grp = groups.setdefault(q.image_id, ImageGroup(image_id=q.image_id))
-        grp.by_type.setdefault(q.qtype, []).append(q)
-    return [groups[k] for k in sorted(groups)]
+        groups.setdefault(q.image_id, {}).setdefault(q.qtype, []).append(q)
+    return [ImageGroup(image_id=k, by_type=groups[k]) for k in sorted(groups)]
 
 
 def reformat_multitask(groups, tasks):

@@ -74,26 +74,26 @@ def gen_synthetic_corpus(cfg):
     block = 1 + len(cfg.colours) + n_cells + len(cfg.sizes) + cfg.max_count
     dim = len(cfg.nouns) * block
 
+    # offsets in a noun's block of its indicator, colour, cell, size and count (from 1)
+    offsets = (0, 1, 1 + len(cfg.colours), 1 + len(cfg.colours) + n_cells,
+               len(cfg.colours) + n_cells + len(cfg.sizes))
+
     questions = []
     vectors = {}
     max_objects = min(cfg.max_objects, len(cfg.nouns), len(cfg.colours))
     for i in range(cfg.num_images):
         image_id = f"img{i:05d}"
         n_obj = 1 + int(rng.integers(0, max_objects))
-        noun_idx = rng.choice(len(cfg.nouns), size=n_obj, replace=False)
-        colour_idx = rng.choice(len(cfg.colours), size=n_obj, replace=False)
-        cells = rng.integers(0, n_cells, size=n_obj)
-        size_idx = rng.integers(0, len(cfg.sizes), size=n_obj)
-        counts = rng.integers(1, cfg.max_count + 1, size=n_obj)
+        noun_idx = rng.choice(len(cfg.nouns), size=n_obj, replace=False).tolist()
+        colour_idx = rng.choice(len(cfg.colours), size=n_obj, replace=False).tolist()
+        cells = rng.integers(0, n_cells, size=n_obj).tolist()
+        size_idx = rng.integers(0, len(cfg.sizes), size=n_obj).tolist()
+        counts = rng.integers(1, cfg.max_count + 1, size=n_obj).tolist()
 
         vec = np.zeros(dim, dtype=np.float64)
-        for o in range(n_obj):
-            base = int(noun_idx[o]) * block
-            vec[base] = 1.0
-            vec[base + 1 + int(colour_idx[o])] = 1.0
-            vec[base + 1 + len(cfg.colours) + int(cells[o])] = 1.0
-            vec[base + 1 + len(cfg.colours) + n_cells + int(size_idx[o])] = 1.0
-            vec[base + 1 + len(cfg.colours) + n_cells + len(cfg.sizes) + int(counts[o]) - 1] = 1.0
+        vec[[k * block + off + v
+             for k, *attrs in zip(noun_idx, colour_idx, cells, size_idx, counts)
+             for off, v in zip(offsets, (0, *attrs))]] = 1.0
         if cfg.noise_std > 0:
             vec = vec + rng.normal(0.0, cfg.noise_std, size=dim)
         vectors[image_id] = vec
@@ -104,15 +104,13 @@ def gen_synthetic_corpus(cfg):
             wts = np.array([_TYPE_WEIGHTS[t] for t in rest])
             extra = rng.choice(len(rest), size=2 - len(chosen), replace=False,
                                p=wts / wts.sum())
-            chosen = sorted(chosen + [rest[int(j)] for j in extra],
+            chosen = sorted(chosen + [rest[j] for j in extra.tolist()],
                             key=ALL_TYPES.index)
         for qtype in chosen:
             n_q = 1 + int(rng.integers(0, min(2, n_obj)))
-            targets = rng.permutation(n_obj)[:n_q]
-            for o in targets:
-                o = int(o)
-                noun = cfg.nouns[int(noun_idx[o])]
-                colour = cfg.colours[int(colour_idx[o])]
+            for o in rng.permutation(n_obj)[:n_q].tolist():
+                noun = cfg.nouns[noun_idx[o]]
+                colour = cfg.colours[colour_idx[o]]
                 # templates share one surface structure, as natural questions do
                 if qtype is QuestionType.OBJECT:
                     tokens = ("what", "thing", "is", "the", colour)
@@ -122,13 +120,13 @@ def gen_synthetic_corpus(cfg):
                     answer = colour
                 elif qtype is QuestionType.COUNT:
                     tokens = ("how", "many", "of", "the", noun)
-                    answer = str(int(counts[o]))
+                    answer = str(counts[o])
                 elif qtype is QuestionType.POSITION:
                     tokens = ("what", "position", "is", "the", noun)
-                    answer = _cell_label(int(cells[o]), cfg.grid_size)
+                    answer = _cell_label(cells[o], cfg.grid_size)
                 else:
                     tokens = ("what", "size", "is", "the", noun)
-                    answer = cfg.sizes[int(size_idx[o])]
+                    answer = cfg.sizes[size_idx[o]]
                 questions.append(LabeledQuestion(image_id=image_id, tokens=tokens,
                                                  answer=answer, qtype=qtype))
     return questions, FeatureStore(vectors=vectors, feature_dim=dim)

@@ -14,11 +14,14 @@ from .textenc import encode
 class EncodedDataset:
     """Dense slot-per-head layout.
 
-    ids: (n, heads, max_len) int64; targets/mask/qtypes/qids: (n, heads);
-    images: (n, feature_dim).  `qtypes` holds indices into `tasks` (-1 on
-    padded slots) so per-type accuracy can be reported even when one head
-    serves every type.  `qids` numbers each slot's distinct question
-    (LabeledQuestion record) in first-seen order, -1 on padded slots.
+    ids: (n, heads, max_len) int64; targets/mask/qtypes/qids: (n, heads).
+    `qtypes` holds indices into `tasks` (-1 on padded slots) so per-type
+    accuracy can be reported even when one head serves every type.  `qids`
+    numbers each slot's distinct question (LabeledQuestion record) in
+    first-seen order, -1 on padded slots.  `images` holds each distinct
+    image's features once, (images, feature_dim) in first-seen order, and
+    `image_rows`, (n,) intp, gives each row's row of `images`:
+    `images[image_rows]` is the (n, feature_dim) feature matrix.
     """
     ids: np.ndarray
     targets: np.ndarray
@@ -26,6 +29,7 @@ class EncodedDataset:
     qtypes: np.ndarray
     qids: np.ndarray
     images: np.ndarray
+    image_rows: np.ndarray
     image_ids: tuple
     tasks: tuple
 
@@ -39,30 +43,29 @@ def _encode(examples, records, n_heads, tasks, vocab, answer_vocab, max_len, fea
     several heads, else on head 0.  A type outside `tasks` raises `ConfigError`."""
     tasks = tuple(tasks)
     n = len(examples)
+    image_ids = tuple(ex.image_id for ex in examples)
+    first = {}  # image id -> its row of `images`
+    image_rows = np.array([first.setdefault(i, len(first)) for i in image_ids], dtype=np.intp)
+    images = features.rows(list(first))
+    numbers = {}  # question record -> its index in `qids`; each is looked up once below
+    qid = np.array([numbers.setdefault(q, len(numbers)) for r in records for q in r], np.int64)
+    row = np.array([i for i, slots in enumerate(records) for _ in slots], dtype=np.intp)
+    bad = [q.qtype for q in numbers if q.qtype not in tasks]
+    if bad:
+        raise ConfigError(f"question type {bad[0]} is not in the task set "
+                          f"({', '.join(map(str, tasks))})")
+    codes = {t: encode(t, vocab, max_len) for t in {q.tokens for q in numbers}}
+    qtype = np.array([tasks.index(q.qtype) for q in numbers], dtype=np.int64)[qid]
+    head = qtype if n_heads > 1 else 0
     ids = np.zeros((n, n_heads, max_len), dtype=np.int64)
-    targets = np.full((n, n_heads), -1, dtype=np.int64)
-    mask = np.zeros((n, n_heads), dtype=bool)
-    qtypes = np.full((n, n_heads), -1, dtype=np.int64)
-    qids = np.full((n, n_heads), -1, dtype=np.int64)
-    images = features.rows([ex.image_id for ex in examples])
-    codes = {}  # token tuple -> ids: the combined format repeats each question
-    numbers = {}  # question record -> its index in `qids`
-    for i, slots in enumerate(records):
-        for q in slots:
-            if q.qtype not in tasks:
-                raise ConfigError(f"question type {q.qtype} is not in the task set "
-                                  f"({', '.join(map(str, tasks))})")
-            t = tasks.index(q.qtype)
-            k = t if n_heads > 1 else 0
-            if q.tokens not in codes:
-                codes[q.tokens] = encode(q.tokens, vocab, max_len)
-            ids[i, k] = codes[q.tokens]
-            targets[i, k] = answer_vocab.id_of(q.answer)
-            mask[i, k] = True
-            qtypes[i, k] = t
-            qids[i, k] = numbers.setdefault(q, len(numbers))
-    return EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes, qids=qids,
-                          images=images, image_ids=tuple(ex.image_id for ex in examples),
+    ids[row, head] = np.array([codes[q.tokens] for q in numbers],
+                              dtype=np.int64).reshape(len(numbers), max_len)[qid]
+    targets, qtypes, qids = (np.full((n, n_heads), -1, dtype=np.int64) for _ in range(3))
+    targets[row, head] = np.array([answer_vocab.id_of(q.answer) for q in numbers],
+                                  dtype=np.int64)[qid]
+    qtypes[row, head], qids[row, head] = qtype, qid
+    return EncodedDataset(ids=ids, targets=targets, mask=qids >= 0, qtypes=qtypes, qids=qids,
+                          images=images, image_rows=image_rows, image_ids=image_ids,
                           tasks=tasks)
 
 

@@ -136,7 +136,7 @@ def _infer(model, data, indices, batch_size, with_loss=False):
     logits, loss = [], (0.0 if with_loss else None)
     for lo in range(0, max(len(indices), 1), batch_size):  # no rows run one empty batch
         sel = indices[lo:lo + batch_size]
-        out = model.forward(data.images[sel], data.ids[sel])
+        out = model.forward(data.images[data.image_rows[sel]], data.ids[sel])
         if with_loss:
             loss += float(softmax_cross_entropy_masked(out, data.targets[sel],
                                                        data.mask[sel]).data)
@@ -191,7 +191,7 @@ def train(model, data, cfg):
             for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
                 sel = order[lo:lo + cfg.batch_size]
                 optimizer.grad.fill(0.0)
-                loss, _ = model.loss(data.images[sel], data.ids[sel],
+                loss, _ = model.loss(data.images[data.image_rows[sel]], data.ids[sel],
                                      data.targets[sel], data.mask[sel])
                 if not np.isfinite(loss.data):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
@@ -334,9 +334,9 @@ def synthetic_bundle(train_images, test_images, noise_std=0.0, seed=0, scene=Non
     cfg = scene or SyntheticSceneConfig(num_images=train_images + test_images,
                                         noise_std=noise_std, seed=seed)
     questions, features = gen_synthetic_corpus(cfg)
-    split_at = f"img{train_images:05d}"
-    train_qs = [q for q in questions if q.image_id < split_at]
-    test_qs = [q for q in questions if q.image_id >= split_at]
+    # image ids are "img" and the image's index, zero-padded to at least 5 digits
+    train_qs = [q for q in questions if int(q.image_id[3:]) < train_images]
+    test_qs = [q for q in questions if int(q.image_id[3:]) >= train_images]
     tasks = tuple(sorted({q.qtype for q in questions}, key=lambda t: t.value))
     train_combined = reformat_multitask(group_by_image(train_qs), tasks)
     test_combined = reformat_multitask(group_by_image(test_qs), tasks)

@@ -1,12 +1,15 @@
-"""Shared builders for gradient-check instances over operators and models."""
+"""Shared builders for gradient-check instances over operators and models,
+and per-item reference versions of the corpus generator and the encoder."""
 
 import numpy as np
 
 from mtvqa import autodiff as ad
 from mtvqa.autodiff.tensor import _accum, _node
-from mtvqa.corpus import QuestionType
-from mtvqa.errors import ShapeError
+from mtvqa.corpus import ALL_TYPES, FeatureStore, LabeledQuestion, QuestionType
+from mtvqa.corpus.synthetic import _TYPE_WEIGHTS, _cell_label
+from mtvqa.errors import ConfigError, ShapeError
 from mtvqa.models import _FAMILY, Model, ModelConfig, _distinct_rows, build_model
+from mtvqa.textenc import encode
 
 
 def weighted_sum(t, weights):
@@ -444,3 +447,93 @@ def question_ids_reference(examples, tasks):
                 key = (ex.image_id, q.qtype, q.tokens, q.answer)
                 ids[i, tasks.index(q.qtype)] = index.setdefault(key, len(index))
     return ids
+
+
+def encode_reference(examples, records, n_heads, tasks, vocab, answer_vocab, max_len,
+                     features):
+    """`datasets._encode` as one Python step per slot, with one feature row
+    per example: a dict of its `ids`, `targets`, `mask`, `qtypes`, `qids`
+    and the (n, feature_dim) `images`."""
+    tasks = tuple(tasks)
+    n = len(examples)
+    ids = np.zeros((n, n_heads, max_len), dtype=np.int64)
+    targets = np.full((n, n_heads), -1, dtype=np.int64)
+    mask = np.zeros((n, n_heads), dtype=bool)
+    qtypes = np.full((n, n_heads), -1, dtype=np.int64)
+    qids = np.full((n, n_heads), -1, dtype=np.int64)
+    images = features.rows([ex.image_id for ex in examples])
+    numbers = {}
+    for i, slots in enumerate(records):
+        for q in slots:
+            if q.qtype not in tasks:
+                raise ConfigError(f"question type {q.qtype} is not in the task set "
+                                  f"({', '.join(map(str, tasks))})")
+            t = tasks.index(q.qtype)
+            k = t if n_heads > 1 else 0
+            ids[i, k] = encode(q.tokens, vocab, max_len)
+            targets[i, k] = answer_vocab.id_of(q.answer)
+            mask[i, k] = True
+            qtypes[i, k] = t
+            qids[i, k] = numbers.setdefault(q, len(numbers))
+    return dict(ids=ids, targets=targets, mask=mask, qtypes=qtypes, qids=qids, images=images)
+
+
+def synthetic_corpus_reference(cfg):
+    """`corpus.gen_synthetic_corpus` with one numpy scalar read and one
+    feature write per object attribute."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    n_cells = cfg.grid_size * cfg.grid_size
+    block = 1 + len(cfg.colours) + n_cells + len(cfg.sizes) + cfg.max_count
+    dim = len(cfg.nouns) * block
+    questions = []
+    vectors = {}
+    max_objects = min(cfg.max_objects, len(cfg.nouns), len(cfg.colours))
+    for i in range(cfg.num_images):
+        image_id = f"img{i:05d}"
+        n_obj = 1 + int(rng.integers(0, max_objects))
+        noun_idx = rng.choice(len(cfg.nouns), size=n_obj, replace=False)
+        colour_idx = rng.choice(len(cfg.colours), size=n_obj, replace=False)
+        cells = rng.integers(0, n_cells, size=n_obj)
+        size_idx = rng.integers(0, len(cfg.sizes), size=n_obj)
+        counts = rng.integers(1, cfg.max_count + 1, size=n_obj)
+        vec = np.zeros(dim, dtype=np.float64)
+        for o in range(n_obj):
+            base = int(noun_idx[o]) * block
+            vec[base] = 1.0
+            vec[base + 1 + int(colour_idx[o])] = 1.0
+            vec[base + 1 + len(cfg.colours) + int(cells[o])] = 1.0
+            vec[base + 1 + len(cfg.colours) + n_cells + int(size_idx[o])] = 1.0
+            vec[base + 1 + len(cfg.colours) + n_cells + len(cfg.sizes)
+                + int(counts[o]) - 1] = 1.0
+        if cfg.noise_std > 0:
+            vec = vec + rng.normal(0.0, cfg.noise_std, size=dim)
+        vectors[image_id] = vec
+        chosen = [t for t in ALL_TYPES if rng.random() < _TYPE_WEIGHTS[t]]
+        if len(chosen) < 2:
+            rest = [t for t in ALL_TYPES if t not in chosen]
+            wts = np.array([_TYPE_WEIGHTS[t] for t in rest])
+            extra = rng.choice(len(rest), size=2 - len(chosen), replace=False,
+                               p=wts / wts.sum())
+            chosen = sorted(chosen + [rest[int(j)] for j in extra], key=ALL_TYPES.index)
+        for qtype in chosen:
+            n_q = 1 + int(rng.integers(0, min(2, n_obj)))
+            for o in rng.permutation(n_obj)[:n_q]:
+                o = int(o)
+                noun = cfg.nouns[int(noun_idx[o])]
+                colour = cfg.colours[int(colour_idx[o])]
+                if qtype is QuestionType.OBJECT:
+                    tokens, answer = ("what", "thing", "is", "the", colour), noun
+                elif qtype is QuestionType.COLOUR:
+                    tokens, answer = ("what", "colour", "is", "the", noun), colour
+                elif qtype is QuestionType.COUNT:
+                    tokens, answer = ("how", "many", "of", "the", noun), str(int(counts[o]))
+                elif qtype is QuestionType.POSITION:
+                    tokens = ("what", "position", "is", "the", noun)
+                    answer = _cell_label(int(cells[o]), cfg.grid_size)
+                else:
+                    tokens = ("what", "size", "is", "the", noun)
+                    answer = cfg.sizes[int(size_idx[o])]
+                questions.append(LabeledQuestion(image_id=image_id, tokens=tokens,
+                                                 answer=answer, qtype=qtype))
+    return questions, FeatureStore(vectors=vectors, feature_dim=dim)

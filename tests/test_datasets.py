@@ -1,10 +1,16 @@
+import dataclasses
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtvqa.corpus import (
+    ALL_TYPES,
     FeatureStore,
     LabeledQuestion,
+    MultiTaskExample,
     QuestionType,
     flatten_single_task,
     group_by_image,
@@ -17,7 +23,7 @@ from mtvqa.errors import ConfigError, FormatError
 from mtvqa.harness import synthetic_bundle
 from mtvqa.textenc import Vocabulary, build_vocab, encode
 
-from helpers import question_ids_reference
+from helpers import encode_reference, question_ids_reference
 
 C, N = QuestionType.COLOUR, QuestionType.COUNT
 TASKS = (C, N)
@@ -135,3 +141,72 @@ def test_qids_of_single_questions_are_the_row_numbers():
     bundle = synthetic_bundle(10, 6, seed=8)
     enc = bundle.encode_singles(flatten_single_task(bundle.test_combined))
     npt.assert_array_equal(enc.qids, np.arange(len(enc)).reshape(-1, 1))
+
+
+def test_images_hold_each_image_once_and_image_rows_rebuild_the_feature_matrix():
+    bundle = synthetic_bundle(10, 6, seed=8)
+    enc = bundle.encode_combined(bundle.train_combined)
+    assert len(enc.images) == len(set(enc.image_ids)) < len(enc)
+    assert enc.image_rows.dtype == np.intp
+    distinct = list(dict.fromkeys(enc.image_ids))
+    assert enc.images.tobytes() == bundle.features.rows(distinct).tobytes()
+    assert (enc.images[enc.image_rows].tobytes()
+            == bundle.features.rows(list(enc.image_ids)).tobytes())
+
+
+_WORDS = ("what", "colour", "is", "the", "cup", "mat", "many")
+_ANSWERS = ("red", "blue", "2", "3")
+
+
+@st.composite
+def _encoding_case(draw):
+    """Examples of repeated question records, with words and answers outside
+    the vocabularies, questions longer than `max_len`, maybe one record of
+    a type outside the task set, and maybe no examples."""
+    tasks = draw(st.permutations(ALL_TYPES))[:draw(st.integers(1, 3))]
+    record = st.builds(LabeledQuestion, image_id=st.sampled_from("abc"),
+                       tokens=st.lists(st.sampled_from(_WORDS), max_size=7).map(tuple),
+                       answer=st.sampled_from(_ANSWERS), qtype=st.sampled_from(tasks))
+    pool = draw(st.lists(record, min_size=1, max_size=10))
+    picks = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+                          max_size=8))
+    if picks and draw(st.integers(0, 3)) == 0:  # a stray type
+        stray = next(t for t in ALL_TYPES if t not in tasks)
+        picks[draw(st.integers(0, len(picks) - 1))].append(
+            dataclasses.replace(pool[0], qtype=stray))
+    # at most one record per type in an example, as the combined format holds
+    examples = [MultiTaskExample(tuple({q.qtype: q for q in p}.values())) for p in picks]
+    vocab = build_vocab([draw(st.lists(st.sampled_from(_WORDS), min_size=3, max_size=6,
+                                       unique=True))])
+    answer_vocab = Vocabulary.of(draw(st.lists(st.sampled_from(_ANSWERS), min_size=1,
+                                               max_size=3, unique=True)))
+    max_len = draw(st.integers(1, 6))
+    return examples, tuple(tasks), vocab, answer_vocab, max_len
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_encoding_case(), st.booleans())
+def test_encoding_matches_the_per_slot_reference_bit_for_bit(case, single):
+    examples, tasks, vocab, answer_vocab, max_len = case
+    rng = np.random.default_rng(0)
+    features = FeatureStore({i: rng.normal(size=3) for i in "abc"}, feature_dim=3)
+    if single:
+        items = [q for ex in examples for q in ex.slots]  # repeats kept
+        records, n_heads, encoder = [(q,) for q in items], 1, encode_single
+    else:
+        items, records, n_heads = examples, [ex.slots for ex in examples], len(tasks)
+        encoder = encode_multitask
+    try:
+        want = encode_reference(items, records, n_heads, tasks, vocab, answer_vocab, max_len,
+                                features)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            encoder(items, tasks, vocab, answer_vocab, max_len, features)
+        return
+    got = encoder(items, tasks, vocab, answer_vocab, max_len, features)
+    have = dict(ids=got.ids, targets=got.targets, mask=got.mask, qtypes=got.qtypes,
+                qids=got.qids, images=got.images[got.image_rows])
+    for name, array in want.items():
+        assert (have[name].dtype, have[name].shape) == (array.dtype, array.shape), name
+        assert have[name].tobytes() == array.tobytes(), name
+    assert got.image_ids == tuple(ex.image_id for ex in items)

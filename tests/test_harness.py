@@ -5,7 +5,14 @@ import numpy.testing as npt
 import pytest
 
 from mtvqa import harness
-from mtvqa.corpus import LabeledQuestion, MultiTaskExample, flatten_single_task, isolate_slots
+from mtvqa.corpus import (
+    FeatureStore,
+    LabeledQuestion,
+    MultiTaskExample,
+    QuestionType,
+    flatten_single_task,
+    isolate_slots,
+)
 from mtvqa.datasets import EncodedDataset
 from mtvqa.errors import ConfigError, TrainingError
 from mtvqa.harness import (
@@ -49,6 +56,19 @@ def test_max_len_comes_from_the_training_half():
                                           base.test_combined + [long_q],
                                           base.features, base.tasks)
     assert bundle.max_len == 5
+
+
+def test_synthetic_bundle_splits_by_image_index_past_five_digits(monkeypatch):
+    # the ids of images 99998..100001; a comparison of id strings would put
+    # img100000 and img100001 before img99999, in the training half
+    ids = [f"img{i:05d}" for i in range(99998, 100002)]
+    questions = [LabeledQuestion(i, ("what", t.value), t.value, t)
+                 for i in ids for t in (QuestionType.COLOUR, QuestionType.COUNT)]
+    store = FeatureStore({i: np.zeros(2) for i in ids}, feature_dim=2)
+    monkeypatch.setattr(harness, "gen_synthetic_corpus", lambda cfg: (questions, store))
+    bundle = synthetic_bundle(99999, 3)
+    assert [ex.image_id for ex in bundle.train_combined] == ["img99998"]
+    assert {ex.image_id for ex in bundle.test_combined} == set(ids[1:])
 
 
 def _fresh_model(bundle, cfg, variant="mtl_simple", seed=0):
@@ -188,7 +208,7 @@ def _rows(enc, idx):
     """The `idx` rows of `enc` as a dataset of their own."""
     return dataclasses.replace(enc, ids=enc.ids[idx], targets=enc.targets[idx],
                                mask=enc.mask[idx], qtypes=enc.qtypes[idx],
-                               qids=enc.qids[idx], images=enc.images[idx],
+                               qids=enc.qids[idx], image_rows=enc.image_rows[idx],
                                image_ids=tuple(enc.image_ids[i] for i in idx))
 
 
@@ -211,7 +231,7 @@ def test_epoch_validation_figures_score_the_validation_rows(bundle, small_cfg, v
     assert 0 < len(val) < len(enc)
     (record,) = hist.records
     assert record.val_accuracy == evaluate(model, val).total_accuracy
-    loss, _ = model.loss(val.images, val.ids, val.targets, val.mask)
+    loss, _ = model.loss(val.images[val.image_rows], val.ids, val.targets, val.mask)
     assert record.val_loss == pytest.approx(float(loss.data) / len(val), rel=1e-5)
 
 
@@ -221,7 +241,8 @@ def test_evaluate_counts_the_argmax_of_prediction_logits(bundle, small_cfg, vari
     model = _fresh_model(bundle, small_cfg, variant)
     data = _encoded(bundle, bundle.test_combined, model)
     # every other row's targets become the model's answers, so some slots hit
-    z = model.forward(data.images, data.ids).data.reshape(len(data), model.n_heads, -1)
+    z = model.forward(data.images[data.image_rows], data.ids).data.reshape(
+        len(data), model.n_heads, -1)
     answered = (np.arange(len(data)) % 2 == 0)[:, None] & data.mask
     data = dataclasses.replace(data, targets=np.where(answered, z.argmax(axis=2),
                                                       data.targets))
@@ -252,7 +273,7 @@ def test_evaluate_all_correct_and_three_quarters():
     mask = np.ones((4, 1), dtype=bool)
     data = EncodedDataset(ids=ids, targets=preds.copy(), mask=mask, qtypes=qtypes,
                           qids=np.arange(4).reshape(4, 1), images=images,
-                          image_ids=tuple("abcd"), tasks=TINY_TASKS)
+                          image_rows=np.arange(4), image_ids=tuple("abcd"), tasks=TINY_TASKS)
     assert evaluate(model, data).total_accuracy == 100.0
 
     wrong = preds.copy()
@@ -275,7 +296,8 @@ def test_evaluate_ignores_masked_slots_and_absent_types():
     targets[:, 3] = -1
     qids = np.where(mask, np.arange(12).reshape(3, 4), -1)
     data = EncodedDataset(ids=ids, targets=targets, mask=mask, qtypes=qtypes, qids=qids,
-                          images=images, image_ids=tuple("abc"), tasks=TINY_TASKS)
+                          images=images, image_rows=np.arange(3), image_ids=tuple("abc"),
+                          tasks=TINY_TASKS)
     report = evaluate(model, data)
     assert report.accuracy(TINY_TASKS[3]) is None
     assert report.counts[TINY_TASKS[3]] == 0
@@ -287,7 +309,7 @@ def test_evaluate_ignores_masked_slots_and_absent_types():
                            mask=np.vstack([data.mask, np.zeros((1, 4), dtype=bool)]),
                            qtypes=np.vstack([data.qtypes, np.full((1, 4), -1)]),
                            qids=np.vstack([data.qids, np.full((1, 4), -1)]),
-                           images=np.vstack([data.images, data.images[:1]]),
+                           images=data.images, image_rows=np.append(data.image_rows, 0),
                            image_ids=data.image_ids + ("a",), tasks=data.tasks)
     report2 = evaluate(model, data2)
     assert report2.as_dict() == report.as_dict()
@@ -319,7 +341,7 @@ def test_per_question_counts_each_question_once():
     data = EncodedDataset(ids=ids, targets=targets, mask=np.ones((5, 1), dtype=bool),
                           qtypes=np.zeros((5, 1), dtype=np.int64),
                           qids=np.array([[0], [0], [0], [0], [1]]), images=images,
-                          image_ids=tuple("aaaab"), tasks=TINY_TASKS)
+                          image_rows=np.arange(5), image_ids=tuple("aaaab"), tasks=TINY_TASKS)
     report = evaluate(model, data)
     assert report.total_accuracy == 80.0
     scored = per_question(report, data)

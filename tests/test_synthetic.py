@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtvqa.corpus import (
     SyntheticSceneConfig,
@@ -9,6 +10,8 @@ from mtvqa.corpus import (
     ALL_TYPES,
 )
 from mtvqa.errors import ConfigError
+
+from helpers import synthetic_corpus_reference
 
 
 def _serialize(questions, features):
@@ -81,3 +84,20 @@ def test_answers_are_scene_consistent():
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ConfigError):
         gen_synthetic_corpus(SyntheticSceneConfig(**kwargs))
+
+
+def _names(prefix):
+    """A short vocabulary of distinct names."""
+    return st.lists(st.sampled_from([f"{prefix}{k}" for k in range(5)]), min_size=1,
+                    max_size=5, unique=True).map(tuple)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.builds(SyntheticSceneConfig, num_images=st.integers(1, 12),
+                 nouns=_names("n"), colours=_names("c"), grid_size=st.integers(1, 3),
+                 sizes=_names("s"), max_count=st.integers(1, 4),
+                 noise_std=st.sampled_from([0.0, 0.05, 0.4]),
+                 seed=st.integers(0, 2 ** 32 - 1), max_objects=st.integers(1, 6)))
+def test_corpus_matches_the_per_scene_reference_bit_for_bit(cfg):
+    got = _serialize(*gen_synthetic_corpus(cfg))
+    assert got == _serialize(*synthetic_corpus_reference(cfg))
