@@ -5,10 +5,9 @@ from .tensor import (
     constant,
     conv1d,
     embedding,
-    gather_rows,
-    mul,
     parameter,
     slot_affine,
+    slot_product,
     softmax_cross_entropy_masked,
     tanh,
     zero_grads,
@@ -20,7 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor", "affine", "concat", "constant", "conv1d", "embedding",
-    "gather_rows", "mul", "parameter", "slot_affine",
+    "parameter", "slot_affine", "slot_product",
     "softmax_cross_entropy_masked", "tanh", "zero_grads",
     "lstm_sequence", "Nadam", "SgdMomentum", "GradCheckReport",
     "check_gradients", "load_checkpoint", "save_checkpoint",

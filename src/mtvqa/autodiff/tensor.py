@@ -8,15 +8,13 @@ inputs, and gradients take their tensor's, so a graph built from float32
 parameters runs in float32 end to end.  The engine holds exactly the
 operators that the question-answering models and their training run:
 affine maps, valid 1-d convolution over token positions max-pooled over
-them, tanh, concatenation along the feature axis, elementwise product, the
-word lookup (id 0 is padding: it reads zeros and its row takes no gradient), a
-generic row lookup (of encoded questions, so a model encodes each distinct
-question once), an affine map over an input laid beside per-head rows of
-such an encoding that multiplies each head's weights by its distinct rows
-once (`slot_affine`), a fused stacked LSTM (in `lstm.py`) and a masked
-softmax cross entropy over answer heads laid side by side in one logits
-tensor.  There is no broadcasting beyond what these operators define
-internally.
+them, tanh, concatenation along the feature axis, the word lookup (id 0 is
+padding: it reads zeros and its row takes no gradient), an affine map
+(`slot_affine`) and a product with one vector per batch row
+(`slot_product`) over per-head rows of an encoding of each distinct
+question, a fused stacked LSTM (in `lstm.py`) and a masked softmax cross
+entropy over answer heads laid side by side in one logits tensor.  There is
+no broadcasting beyond what these operators define internally.
 
 Every operator builds its output with `_node`, and no node refers to
 itself, so no graph is a reference cycle: reference counting frees a graph
@@ -124,10 +122,10 @@ def _toposort(root):
 
 def _accum(t, g, rows=...):
     """Add `g` into `t.grad[rows]`, all of it by default.  Indexed rows must
-    be distinct, so each gets its `g` once; the row lookups pass their
-    touched rows and `slot_affine` its weight blocks, so they build no array
-    the size of their table or weight.  A first gradient is `g + 0.0`, where
-    -0.0 reads +0.0 as in zeros + g, placed in zeros if `rows` is indexed."""
+    be distinct, so each gets its `g` once; operators that read rows pass
+    those they touch and `slot_affine` its weight blocks, so they build no
+    array the size of their table or weight.  A first gradient is `g + 0.0`,
+    where -0.0 reads +0.0 as in zeros + g, placed in zeros if `rows` is indexed."""
     if t.grad is not None:
         t.grad[rows] += g
     elif rows is ...:
@@ -144,18 +142,6 @@ def zero_grads(tensors):
 
 # ---------------------------------------------------------------------------
 # elementwise operators
-
-def mul(a, b):
-    """Elementwise (Hadamard) product of same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-
-    def _bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _node(a.data * b.data, (a, b), "mul", _bw)
-
 
 def tanh(a):
     y = np.tanh(a.data)
@@ -185,7 +171,7 @@ def affine(x, w, b):
 
 
 def slot_affine(x, enc, inv, w, b):
-    """`affine(concat([x] + [gather_rows(enc, i) for i in inv]), w, b)` for
+    """`affine` over `x` laid beside `enc[inv[h]]` for each head h of the
     (heads, batch) row ids `inv`, as `x @ w_x + b + sum_h (enc[u_h] @ w_h)[j_h]`:
     head h's block of `w` multiplies the distinct rows `u_h` it reads once,
     and the heads add in order.  The backward sums each head's gradient per
@@ -282,40 +268,59 @@ def concat(tensors):
     return _node(np.concatenate([t.data for t in tensors], axis=-1), tensors, "concat", _bw)
 
 
+def slot_product(enc, inv, v):
+    """`enc[inv[h]] * v` for each head h of the (heads, batch) row ids `inv`,
+    laid side by side as (batch, heads * width), head h in columns h * width
+    onwards.  The backward runs head by head, in head order: `v` takes
+    `g_h * enc[inv[h]]`, and `enc` takes `g_h * v` summed per distinct row."""
+    inv = np.asarray(inv, dtype=np.int64)
+    if enc.data.ndim != 2 or v.data.ndim != 2 or inv.ndim != 2 or inv.shape[1] != len(v.data) \
+            or enc.data.shape[1] != v.data.shape[1]:
+        raise ShapeError(f"slot_product: enc {enc.data.shape}, ids {inv.shape} and "
+                         f"v {v.data.shape} do not fit")
+    if inv.size and (inv.min() < 0 or inv.max() >= len(enc.data)):
+        raise ShapeError("slot_product: id out of range for enc")
+    read = enc.data[inv.T]  # (batch, heads, width)
+    bsz, width = v.data.shape
+
+    def _bw(g):
+        g = g.reshape(read.shape)
+        for h, ids in enumerate(inv):
+            _accum(v, g[:, h] * read[:, h])
+            rows, sums = _sum_per_id(ids, g[:, h] * v.data)
+            _accum(enc, sums, rows)
+
+    out = (read * v.data[:, None]).reshape(bsz, len(inv) * width)
+    return _node(out, (enc, v), "slot_product", _bw)
+
+
 def embedding(table, ids):
-    """The word lookup: `gather_rows` with id 0 as padding, like PyTorch's
-    `nn.Embedding(padding_idx=0)`.  Id 0 reads exact zeros whatever row 0
-    holds, and row 0 takes no gradient."""
-    return _lookup(table, ids, "embedding", padding=True)
-
-
-def gather_rows(x, ids):
-    """Rows of a 2-d `x` for an integer id array of any shape; the output
-    has shape `ids.shape + (x width,)`, and the backward sums the gradient
-    per row."""
-    return _lookup(x, ids, "gather_rows", padding=False)
-
-
-def _lookup(table, ids, op, padding):
+    """The word lookup: rows of a 2-d `table` for an integer id array of any
+    shape, with id 0 as padding, like PyTorch's `nn.Embedding(padding_idx=0)`.
+    Id 0 reads exact zeros whatever row 0 holds, and row 0 takes no gradient."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
-        raise ShapeError(f"{op}: table must be 2-d, got {table.data.shape}")
+        raise ShapeError(f"embedding: table must be 2-d, got {table.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ShapeError(f"{op}: id out of range for table")
+        raise ShapeError("embedding: id out of range for table")
     out = table.data[ids]
-    if padding:
-        out[ids == 0] = 0.0
+    out[ids == 0] = 0.0
 
-    def _bw(g):  # sum the rows of g per id: stable sort, then one reduceat
-        flat = ids.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        sid = flat[order]
-        # with padding, the sorted id-0 run starts no segment, so it adds nowhere
-        starts = np.flatnonzero(np.diff(sid, prepend=0 if padding else -1))
-        sums = np.add.reduceat(g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
-        _accum(table, sums, sid[starts])
+    def _bw(g):  # the rows come sorted, so the padding row, if read, is first
+        rows, sums = _sum_per_id(ids, g)
+        skip = int(len(rows) > 0 and rows[0] == 0)
+        _accum(table, sums[skip:], rows[skip:])
 
-    return _node(out, (table,), op, _bw)
+    return _node(out, (table,), "embedding", _bw)
+
+
+def _sum_per_id(ids, g):
+    """The distinct `ids`, ascending, and the sum of the rows of `g`
+    (`ids.shape + (width,)`) at each: a stable sort, then one reduceat."""
+    order = np.argsort(ids, axis=None, kind="stable")
+    sid = ids.reshape(-1)[order]
+    starts = np.flatnonzero(np.diff(sid, prepend=-1))
+    return sid[starts], np.add.reduceat(g.reshape(-1, g.shape[-1])[order], starts, axis=0)
 
 
 # ---------------------------------------------------------------------------

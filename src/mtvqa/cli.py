@@ -382,10 +382,7 @@ def main(argv=None):
         if "seed" in vars(args):
             args.seed = _seed(args.seed)
         return args.func(args)
-    except MtvqaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MtvqaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

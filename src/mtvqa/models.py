@@ -187,9 +187,8 @@ class Model:
             img = ad.affine(ad.constant(images), p["img.W"], p["img.b"])
             x = ad.tanh(ad.slot_affine(img, enc, inv, p["hidden.W"], p["hidden.b"]))
         else:
-            # the products depend on the image, so each head's rows are gathered
             v = ad.tanh(ad.affine(ad.constant(images), p["iproj.W"], p["iproj.b"]))
-            x = ad.concat([ad.mul(ad.gather_rows(enc, i), v) for i in inv])
+            x = ad.slot_product(enc, inv, v)
             for i in range(len(self.config.classifier_dims)):
                 x = ad.tanh(ad.affine(x, p[f"clf.{i}.W"], p[f"clf.{i}.b"]))
         return ad.affine(x, ad.concat([p[f"head.{name}.W"] for name in self.head_names]),

@@ -111,12 +111,6 @@ def _p(rng, shape, name):
     return ad.parameter(rng.normal(size=shape), name)
 
 
-def op_case_mul(rng):
-    a, b = _p(rng, (2, 3), "a"), _p(rng, (2, 3), "b")
-    w = rng.normal(size=(2, 3))
-    return lambda: weighted_sum(ad.mul(a, b), w), [a, b]
-
-
 def op_case_tanh(rng):
     a = _p(rng, (2, 4), "a")
     w = rng.normal(size=(2, 4))
@@ -149,11 +143,56 @@ def op_case_embedding(rng):
     return lambda: weighted_sum(ad.embedding(table, ids), w), [table]
 
 
-def op_case_gather_rows(rng):
-    x = _p(rng, (5, 3), "x")
-    ids = rng.integers(0, 5, size=(2, 4))
-    w = rng.normal(size=(2, 4, 3))
-    return lambda: weighted_sum(ad.gather_rows(x, ids), w), [x]
+def op_case_slot_product(rng):
+    # two heads over four encoded rows; row 3 is read by no head
+    enc, v = _p(rng, (4, 3), "enc"), _p(rng, (3, 3), "v")
+    inv = np.array([[0, 2, 0], [1, 1, 1]])
+    w = rng.normal(size=(3, 6))
+    return lambda: weighted_sum(ad.slot_product(enc, inv, v), w), [enc, v]
+
+
+def mul_reference(a, b):
+    """The elementwise product of same-shape tensors, the engine operator
+    that multiplied each head's question rows by the image projection
+    before `slot_product`."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
+
+    def _bw(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
+
+    return _node(a.data * b.data, (a, b), "mul", _bw)
+
+
+def gather_rows_reference(x, ids):
+    """Rows of a 2-d `x` for an integer id array of any shape, the engine
+    operator that gathered encoded question rows before `slot_affine` and
+    `slot_product` read them: the output has shape `ids.shape + (x width,)`,
+    and the backward sums the gradient per row with a stable sort and one
+    reduceat."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if x.data.ndim != 2:
+        raise ShapeError(f"gather_rows: table must be 2-d, got {x.data.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= x.data.shape[0]):
+        raise ShapeError("gather_rows: id out of range for table")
+
+    def _bw(g):
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sid = flat[order]
+        starts = np.flatnonzero(np.diff(sid, prepend=-1))
+        sums = np.add.reduceat(g.reshape(-1, x.data.shape[1])[order], starts, axis=0)
+        _accum(x, sums, sid[starts])
+
+    return _node(x.data[ids], (x,), "gather_rows", _bw)
+
+
+def slot_product_reference(enc, inv, v):
+    """`slot_product` as the graph the VQA-team models built before it: each
+    head gathers its rows of `enc` and multiplies them by `v`, and the
+    products are laid side by side."""
+    return ad.concat([mul_reference(gather_rows_reference(enc, i), v) for i in inv])
 
 
 def op_case_softmax_ce(rng):
@@ -327,7 +366,7 @@ def slot_affine_reference(x, enc, inv, w, b):
     """`slot_affine` as the graph the conv models built before it: each
     head gathers its rows of `enc`, and one affine map reads them laid side
     by side after `x`."""
-    return ad.affine(ad.concat([x] + [ad.gather_rows(enc, i) for i in inv]), w, b)
+    return ad.affine(ad.concat([x] + [gather_rows_reference(enc, i) for i in inv]), w, b)
 
 
 _affine = ad.affine
@@ -344,13 +383,12 @@ def heads_affine_reference(x, w, b):
 
 
 OP_CASES = {
-    "mul": op_case_mul,
     "tanh": op_case_tanh,
     "affine": op_case_affine,
     "conv1d": op_case_conv1d,
     "concat": op_case_concat,
     "embedding": op_case_embedding,
-    "gather_rows": op_case_gather_rows,
+    "slot_product": op_case_slot_product,
     "slot_affine": op_case_slot_affine,
     "softmax_cross_entropy_masked": op_case_softmax_ce,
     "lstm_sequence": op_case_lstm_sequence,
@@ -374,7 +412,7 @@ class EveryRowModel(Model):
             enc = self.encode_question_conv(every)
         else:  # the LSTM encoder takes distinct rows; each row gathers its own
             rows, inv, new = _distinct_rows(every)
-            enc = ad.gather_rows(self._question_lstm(rows, new), inv)
+            enc = gather_rows_reference(self._question_lstm(rows, new), inv)
         return enc, np.arange(n_heads * n).reshape(n_heads, n)
 
 

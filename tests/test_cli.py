@@ -4,6 +4,8 @@ import pytest
 
 from mtvqa.cli import main
 
+from test_archives import MUTATIONS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -390,6 +392,22 @@ def _train_argv(pipeline_dir, tmp_path, *extra):
     return ["train", "--data", str(pipeline_dir / "data" / "multitask.tsv"),
             "--features", str(pipeline_dir / "corpus" / "features.feat"),
             "--out", str(tmp_path / "m.ckpt"), *extra]
+
+
+def test_eval_of_a_bit_flipped_binary_checkpoint_exits_1_naming_it(pipeline_dir, capsys,
+                                                                   tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    assert main(_train_argv(pipeline_dir, tmp_path, "--set", "max_epochs_nadam=1",
+                            "--set", "max_epochs_sgd=0", "--model-set", "embed_dim=4",
+                            "--model-set", "hidden_dim=6")) == 0
+    capsys.readouterr()
+    ckpt.write_bytes(MUTATIONS["central_encrypted_flag"](ckpt.read_bytes()))
+    code, out, err = run(capsys, "eval", "--model", str(ckpt),
+                         "--data", str(pipeline_dir / "data" / "multitask.tsv"),
+                         "--features", str(pipeline_dir / "corpus" / "features.feat"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(ckpt) in err, err
 
 
 def _history(**record):

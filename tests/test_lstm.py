@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mtvqa import autodiff as ad
 from mtvqa.errors import ShapeError
 
-from helpers import lstm_reference, lstm_stepwise_reference, weighted_sum
+from helpers import gather_rows_reference, lstm_reference, lstm_stepwise_reference, weighted_sum
 
 
 def _params(arrs):
@@ -216,8 +216,8 @@ def test_prefix_trie_matches_the_stepwise_kernel_on_every_row(n_rows, steps, dep
     params = [table] + [t for layer in layers for t in layer]
     w = rng.normal(size=(n_rows, hidden))
     results = []
-    for run in (lambda: ad.gather_rows(ad.lstm_sequence(ad.embedding(table, tokens), new,
-                                                        layers), last),
+    for run in (lambda: gather_rows_reference(ad.lstm_sequence(ad.embedding(table, tokens),
+                                                               new, layers), last),
                 lambda: lstm_stepwise_reference(ad.embedding(table, ids), layers)):
         ad.zero_grads(params)
         out = run()

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import mtvqa.autodiff.lstm as lstm_module
 from mtvqa import autodiff as ad
 from mtvqa.autodiff.checkpoint import save_checkpoint
+from mtvqa.autodiff.tensor import _toposort
 from mtvqa.corpus import QuestionType
 from mtvqa.errors import ConfigError, FormatError, ShapeError
 from mtvqa.models import (
@@ -22,8 +24,8 @@ from mtvqa.models import (
 )
 
 from helpers import (TINY_TASKS, EveryRowModel, conv1d_reference, heads_affine_reference,
-                     max_over_time_reference, slot_affine_reference, tiny_model,
-                     tiny_model_config, weighted_sum)
+                     max_over_time_reference, slot_affine_reference, slot_product_reference,
+                     tiny_model, tiny_model_config, weighted_sum)
 
 
 def _batch(model, rng, batch=3):
@@ -520,6 +522,34 @@ def test_one_affine_heads_match_one_affine_per_head(variant, monkeypatch):
     for name, ref in ref_grads.items():
         gap = np.abs(grads[name] - ref).max()
         assert gap <= 1e-12 * np.abs(ref).max(), f"{name}: gradient gap {gap:.2e}"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("variant, kind", [("vqateam_mtl", "repeated"),
+                                           ("vqateam_stl", "none_empty")])
+def test_vqateam_trunk_is_one_slot_product_node(variant, kind, dtype, monkeypatch):
+    # the trunk was a gather and a product per head and their concatenation,
+    # 2 * heads + 1 nodes; one node gives its loss, logits and gradients bit
+    # for bit
+    model = tiny_model(variant, seed=3, emb_scale=1.0, dtype=dtype)
+    batch = _slot_batch(model, np.random.default_rng(15), kind)
+
+    def run():
+        ad.zero_grads(model.params.values())
+        loss, logits = model.loss(*batch)
+        ops = Counter(node.op for node in _toposort(loss))
+        loss.backward()
+        return ops, [loss.data.tobytes(), logits.data.tobytes()] + [
+            p.grad.tobytes() for p in model.params.values() if p.grad is not None]
+
+    ops, got = run()
+    monkeypatch.setattr(ad, "slot_product", slot_product_reference)
+    ref_ops, want = run()
+    assert ops["slot_product"] == 1 and ops["mul"] == ops["gather_rows"] == 0
+    assert ref_ops["slot_product"] == 0
+    assert ref_ops["mul"] == ref_ops["gather_rows"] == model.n_heads
+    assert sum(ops.values()) == sum(ref_ops.values()) - 2 * model.n_heads
+    assert got == want
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mtvqa import autodiff as ad
+from mtvqa.autodiff.tensor import _accum, _node
 from mtvqa.errors import ShapeError, TrainingError
 from mtvqa.models import VARIANTS
 
 from helpers import (OP_CASES, conv1d_reference, max_over_time_reference,
-                     slot_affine_reference, softmax_ce_reference, tiny_model, weighted_sum)
+                     slot_affine_reference, slot_product_reference, softmax_ce_reference,
+                     tiny_model, weighted_sum)
 
 
 def test_affine_identity_passthrough():
@@ -120,55 +122,45 @@ def test_embedding_reads_padding_as_zeros_and_gives_row_0_no_gradient(ids):
     assert not table.grad[0].view(np.uint64).any()
 
 
-# the word lookup and the generic row gather share one backward; only the
-# word lookup leaves padding row 0 out of it
-_LOOKUPS = ((ad.embedding, True), (ad.gather_rows, False))
-
-
 @pytest.mark.parametrize("ids", [
     np.array([[3, 1, 3, 3], [1, 4, 4, 3]]),  # repeated ids
     np.full((3, 4), 2),                       # one id everywhere
     np.array([[0, 0, 5, 1], [2, 0, 0, 0]]),   # padding id 0 among real ids
     np.zeros((0, 4), dtype=np.int64),         # no rows
-    np.array([4, 1, 4, 0]),                   # 1-d ids, as a row gather passes
+    np.array([4, 1, 4, 0]),                   # 1-d ids
 ], ids=["repeated", "one_id", "padding", "empty", "one_dim"])
 def test_embedding_gradient_matches_add_at(ids):
-    for op, padding in _LOOKUPS:
-        rng = np.random.default_rng(ids.size)
-        table = ad.parameter(rng.normal(size=(6, 3)), "table")
-        upstream = rng.normal(size=ids.shape + (3,))
-        weighted_sum(op(table, ids), upstream).backward()
-        want = np.zeros((6, 3))
-        np.add.at(want, ids.reshape(-1), upstream.reshape(-1, 3))
-        if padding:
-            want[0] = 0.0
-        npt.assert_allclose(table.grad, want, rtol=1e-13, atol=0, err_msg=op.__name__)
-        if padding:
-            npt.assert_array_equal(table.grad[0], np.zeros(3))
+    rng = np.random.default_rng(ids.size)
+    table = ad.parameter(rng.normal(size=(6, 3)), "table")
+    upstream = rng.normal(size=ids.shape + (3,))
+    weighted_sum(ad.embedding(table, ids), upstream).backward()
+    want = np.zeros((6, 3))
+    np.add.at(want, ids.reshape(-1), upstream.reshape(-1, 3))
+    want[0] = 0.0
+    npt.assert_allclose(table.grad, want, rtol=1e-13, atol=0)
+    npt.assert_array_equal(table.grad[0], np.zeros(3))
 
 
 def test_embedding_twice_into_a_preset_gradient_matches_add_at():
     # one table looked up twice in one graph adds both lookups' rows into a
     # gradient that already holds values (as the packed store's does); the
     # values are multiples of 1/4, so every order of the sums is exact
-    for op, padding in _LOOKUPS:
-        rng = np.random.default_rng(11)
-        table = ad.parameter(rng.normal(size=(6, 3)), "table")
-        preset = rng.integers(-8, 9, size=(6, 3)) / 4.0
-        preset[0] = 0.0
-        table.grad = preset.copy()
-        ids_a = np.array([[3, 0, 3], [1, 4, 3]])
-        ids_b = np.array([[0, 4, 5], [4, 4, 2]])
-        upstream = rng.integers(-8, 9, size=(2, 3, 6)) / 4.0
-        both = ad.concat([op(table, ids_a), op(table, ids_b)])
-        weighted_sum(both, upstream).backward()
-        want = preset.copy()
-        np.add.at(want, ids_a.reshape(-1), upstream[..., :3].reshape(-1, 3))
-        np.add.at(want, ids_b.reshape(-1), upstream[..., 3:].reshape(-1, 3))
-        if padding:
-            want[0] = 0.0
-            assert not table.grad[0].view(np.uint64).any()
-        assert table.grad.tobytes() == want.tobytes(), op.__name__
+    rng = np.random.default_rng(11)
+    table = ad.parameter(rng.normal(size=(6, 3)), "table")
+    preset = rng.integers(-8, 9, size=(6, 3)) / 4.0
+    preset[0] = 0.0
+    table.grad = preset.copy()
+    ids_a = np.array([[3, 0, 3], [1, 4, 3]])
+    ids_b = np.array([[0, 4, 5], [4, 4, 2]])
+    upstream = rng.integers(-8, 9, size=(2, 3, 6)) / 4.0
+    both = ad.concat([ad.embedding(table, ids_a), ad.embedding(table, ids_b)])
+    weighted_sum(both, upstream).backward()
+    want = preset.copy()
+    np.add.at(want, ids_a.reshape(-1), upstream[..., :3].reshape(-1, 3))
+    np.add.at(want, ids_b.reshape(-1), upstream[..., 3:].reshape(-1, 3))
+    want[0] = 0.0
+    assert not table.grad[0].view(np.uint64).any()
+    assert table.grad.tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -204,6 +196,62 @@ def test_slot_affine_matches_the_gather_concat_affine_graph(heads, batch, reads,
     assert not results[0][2][-1].view(np.uint64).any()  # the row no head reads
 
 
+def _backward_from(out, upstream):
+    """Backpropagate `upstream`, an array of `out`'s shape and dtype, from `out`."""
+    _node(np.zeros((), out.data.dtype), (out,), "seed", lambda g: _accum(out, upstream)).backward()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(heads=st.integers(1, 5), batch=st.integers(0, 70),
+       reads=st.sampled_from(["all_distinct", "heavy_repeats", "mixed"]),
+       one_row_head=st.booleans(), unread=st.integers(0, 3),
+       dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**32 - 1))
+def test_slot_product_matches_the_gather_mul_concat_graph_bit_for_bit(heads, batch, reads,
+                                                                      one_row_head, unread,
+                                                                      dtype, seed):
+    rng = np.random.default_rng(seed)
+    width = 4
+    if reads == "all_distinct":
+        n_read = heads * batch
+        inv = rng.permutation(n_read).reshape(heads, batch)
+    else:
+        n_read = 3 if reads == "heavy_repeats" else max(heads * batch, 1)
+        inv = rng.integers(0, n_read, size=(heads, batch))
+    if one_row_head:
+        inv[rng.integers(heads)] = inv[0, :1]  # one head reads one distinct row
+    # `unread` more rows, scattered among the rest, that no head reads
+    place = rng.permutation(n_read + unread)
+    inv, unread_rows = place[inv], place[n_read:]
+    enc_v, v_v = rng.normal(size=(n_read + unread, width)), rng.normal(size=(batch, width))
+    upstream = rng.normal(size=(batch, heads * width))
+    upstream[rng.random(upstream.shape) < 0.1] = -0.0  # signed zeros reach both gradients
+    results = []
+    for op in (ad.slot_product, slot_product_reference):
+        enc, v = ad.parameter(enc_v.astype(dtype), "enc"), ad.parameter(v_v.astype(dtype), "v")
+        out = op(enc, inv, v)
+        _backward_from(out, upstream.astype(dtype))
+        results.append([out.data, enc.grad, v.grad])
+    for name, got, want in zip(("value", "enc", "v"), *results):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert not results[0][1][unread_rows].view(np.uint8).any()  # +0.0 bits
+
+
+@pytest.mark.parametrize("change", ["id_too_large", "id_negative", "width", "ids_batch",
+                                    "ids_1d"])
+def test_slot_product_shape_errors(change):
+    args = dict(enc=ad.constant(np.zeros((4, 3))), inv=np.array([[0, 1, 1], [3, 3, 2]]),
+                v=ad.constant(np.zeros((3, 3))))
+    assert ad.slot_product(**args).data.shape == (3, 6)
+    args.update({"id_too_large": dict(inv=np.array([[0, 1, 4], [3, 3, 2]])),
+                 "id_negative": dict(inv=np.array([[0, 1, -1], [3, 3, 2]])),
+                 "width": dict(v=ad.constant(np.zeros((3, 2)))),
+                 "ids_batch": dict(inv=np.array([[0, 1], [3, 3]])),
+                 "ids_1d": dict(inv=np.array([0, 1, 1]))}[change])
+    with pytest.raises(ShapeError, match="slot_product"):
+        ad.slot_product(**args)
+
+
 @pytest.mark.parametrize("change", ["w_rows", "id_too_large", "id_negative", "bias", "ids_batch"])
 def test_slot_affine_shape_errors(change):
     args = dict(x=ad.constant(np.zeros((3, 2))), enc=ad.constant(np.zeros((4, 3))),
@@ -221,14 +269,14 @@ def test_slot_affine_shape_errors(change):
 
 def test_gradient_accumulates_over_reuse():
     x = ad.parameter(np.array([2.0]), "x")
-    y = ad.mul(x, x)  # x^2 reaches x twice, dy/dx = 2x = 4
-    weighted_sum(y, np.ones(1)).backward()
+    y = ad.concat([x, x])  # x reaches y twice, weighted 1 and 3: dy/dx = 1 + 3 = 4
+    weighted_sum(y, np.array([1.0, 3.0])).backward()
     npt.assert_array_equal(x.grad, [4.0])
 
 
 def test_second_backward_raises():
     x = ad.parameter(np.array([2.0]), "x")
-    loss = weighted_sum(ad.mul(x, x), np.ones(1))
+    loss = weighted_sum(ad.concat([x, x]), np.array([1.0, 3.0]))
     loss.backward()
     with pytest.raises(TrainingError, match="already backpropagated"):
         loss.backward()
@@ -284,8 +332,8 @@ def test_operator_gradients(name):
 def test_shape_errors_name_the_operator():
     a = ad.constant(np.zeros((2, 3)))
     b = ad.constant(np.zeros((3, 2)))
-    with pytest.raises(ShapeError, match="mul"):
-        ad.mul(a, b)
+    with pytest.raises(ShapeError, match="slot_product"):
+        ad.slot_product(a, np.zeros((1, 3), dtype=np.int64), b)
     with pytest.raises(ShapeError, match="affine"):
         ad.affine(a, ad.constant(np.zeros((4, 2))), ad.constant(np.zeros(2)))
     with pytest.raises(ShapeError, match="conv1d"):
